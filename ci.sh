@@ -101,7 +101,6 @@ run grep -q '"schema": "pvc-bench/v1"' "$serve_dir/BENCH_serve.json"
 run grep -q '"name": "serve/table2_cold_miss"' "$serve_dir/BENCH_serve.json"
 run grep -q '"name": "serve/warm_from_disk"' "$serve_dir/BENCH_serve.json"
 run grep -q '"name": "serve/allocate_1k_flows"' "$serve_dir/BENCH_serve.json"
-run grep -q '"name": "serve/sharded_sweep_fanout"' "$serve_dir/BENCH_serve.json"
 
 # 10. Chaos lab: the property suite proves fault overlays never improve
 #     a figure of merit (direction-aware, composition included), and the
@@ -201,13 +200,12 @@ run env PVC_STORE_FINGERPRINT_SALT=ci-model-change \
   warm --store "$store_dir/salted.store" > "$store_dir/salted.out" 2>&1
 run grep -q 'fingerprint mismatch, store reset' "$store_dir/salted.out"
 
-# 13. HTTP frontend + shards: `serve --http` boots a keep-alive
-#     HTTP/1.1 server over a 2-shard cluster. The canned batch POSTed
-#     twice over ONE connection answers byte-identically to the stdin
-#     frontend; /metrics exposes the global and per-shard counters; a
-#     queue-depth-1 cluster sheds per shard (pigeonhole: three distinct
-#     keys on two single-slot shards overflow one of them); and a POST
-#     to /shutdown stops the accept loop gracefully (exit 0).
+# 13. HTTP frontend: `serve --http` boots a keep-alive HTTP/1.1
+#     server. The canned batch POSTed twice over ONE connection answers
+#     byte-identically to the stdin frontend; /metrics exposes the
+#     `serve.*` counters; a queue-depth-1 server sheds (three distinct
+#     keys on one slot shed two) with a typed body and counter; and a
+#     POST to /shutdown stops the accept loop gracefully (exit 0).
 http_dir="$(mktemp -d)"
 http_pid=""
 cleanup() {
@@ -232,7 +230,7 @@ boot_http() {  # boot_http <logfile> <extra flags...>; sets http_pid and http_ad
   http_addr="$(sed -n 's/.*serving http on //p' "$log" | head -n 1)"
   test -n "$http_addr"
 }
-boot_http "$http_dir/http.log" --shards 2
+boot_http "$http_dir/http.log"
 # One curl process, one keep-alive connection, four requests on it.
 run curl -sS -o "$http_dir/q1.out" --data-binary "@$http_dir/batch.json" "http://$http_addr/query" \
   --next -o "$http_dir/q2.out" --data-binary "@$http_dir/batch.json" "http://$http_addr/query" \
@@ -241,18 +239,16 @@ run curl -sS -o "$http_dir/q1.out" --data-binary "@$http_dir/batch.json" "http:/
 run cmp "$http_dir/q1.out" "$http_dir/q2.out"
 run cmp "$http_dir/q1.out" "$http_dir/stdin.out"
 run grep -q '^serve_requests ' "$http_dir/metrics.out"
-run grep -q '^serve_shard0_' "$http_dir/metrics.out"
-run grep -q '^serve_shard1_' "$http_dir/metrics.out"
 wait "$http_pid"   # /shutdown exits the accept loop with status 0
 http_pid=""
-# Per-shard overload: single-slot queues shed on the shard that gets
-# two of the three keys, and the shed is typed in the response body.
-boot_http "$http_dir/overload.log" --shards 2 --queue-depth 1
+# Overload: a single-slot queue admits one of the three keys and sheds
+# the other two, typed in the response body and counted in /metrics.
+boot_http "$http_dir/overload.log" --queue-depth 1
 run curl -sS -o "$http_dir/shed.out" --data-binary "@$http_dir/batch.json" "http://$http_addr/query" \
   --next -o "$http_dir/shed-metrics.out" "http://$http_addr/metrics" \
   --next -o /dev/null -X POST "http://$http_addr/shutdown"
 run grep -q '"kind":"overloaded"' "$http_dir/shed.out"
-run grep -Eq '^serve_shard[01]_rejected_overload ' "$http_dir/shed-metrics.out"
+run grep -q '^serve_rejected_overload 2$' "$http_dir/shed-metrics.out"
 wait "$http_pid"
 http_pid=""
 

@@ -143,30 +143,6 @@ fn serve_sweep_coalescing(c: &mut Criterion) {
     );
 }
 
-/// Sharded fan-out: the same overlapping sweeps plus a table request on
-/// a 4-shard cluster — dispatcher routing, per-shard admission and
-/// commit, index-order merge. Read against `pcie_sweeps_coalesced`
-/// (1 shard): the delta is pure dispatch overhead, since atoms are
-/// coalesced cluster-wide at either shard count.
-fn serve_sharded_fanout(c: &mut Criterion) {
-    let cfg = ServeConfig { shards: 4, ..ServeConfig::default() };
-    let mut g = c.benchmark_group("serve");
-    g.sample_size(10);
-    g.bench_function("sharded_sweep_fanout", |b| {
-        b.iter(|| {
-            let s = Service::new(CatalogExecutor, cfg.clone());
-            black_box(s.handle_lines(&[SWEEP_A, SWEEP_B, TABLE2]));
-        })
-    });
-    g.finish();
-    let s = Service::new(CatalogExecutor, cfg);
-    s.handle_lines(&[SWEEP_A, SWEEP_B, TABLE2]);
-    let shards_hit = (0..4)
-        .filter(|i| s.metrics().counter(&format!("serve.shard{i}.requests")) > 0)
-        .count();
-    println!("serve/sharded_sweep_fanout: {shards_hit} of 4 shards took requests");
-}
-
 criterion_group!(
     serve_benches,
     serve_cache_miss,
@@ -175,6 +151,5 @@ criterion_group!(
     flow_allocate_1k,
     serve_singleflight,
     serve_sweep_coalescing,
-    serve_sharded_fanout,
 );
 criterion_main!(serve_benches);

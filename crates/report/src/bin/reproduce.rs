@@ -7,10 +7,10 @@
 //! reproduce run <workload> <system>
 //! reproduce chaos <workload> <system> <spec>
 //! reproduce profile <workload> [outfile]
-//! reproduce query [--stats] [--rounds N] [--queue-depth N] [--cache-cap N] [--shards N] [--store PATH] [--access-log PATH] <request.json>...
-//! reproduce serve [--queue-depth N] [--cache-cap N] [--shards N] [--store PATH] [--tcp ADDR] [--http ADDR] [--access-log PATH]
-//! reproduce stats [--rounds N] [--queue-depth N] [--cache-cap N] [--shards N] [--store PATH] [request.json...]
-//! reproduce warm [--store PATH] [--shards N] [--chaos] [--verify]
+//! reproduce query [--stats] [--rounds N] [--queue-depth N] [--cache-cap N] [--store PATH] [--access-log PATH] <request.json>...
+//! reproduce serve [--queue-depth N] [--cache-cap N] [--store PATH] [--http ADDR] [--access-log PATH]
+//! reproduce stats [--rounds N] [--queue-depth N] [--cache-cap N] [--store PATH] [request.json...]
+//! reproduce warm [--store PATH] [--chaos] [--verify]
 //! ```
 //! `list` prints the full scenario grid — every registered
 //! workload × system pair with its figure-of-merit unit and paper
@@ -28,15 +28,13 @@
 //! response envelopes print in order (`--rounds 2` replays the batch to
 //! exercise the cache; `--stats` dumps the `serve.*` counters to
 //! stderr). `serve` is the long-running frontend: line-delimited JSON
-//! requests on stdin (or a TCP socket with `--tcp`), one compact JSON
-//! response line per request; a line holding a JSON array is served as
-//! one batch and answered with one array line. `--http ADDR` serves the
-//! same dispatcher over HTTP/1.1 instead (keep-alive, `/metrics`,
-//! `/stats`, `POST /query` with stdin-identical bytes — see
-//! `pvc_report::httpfront`). All frontends honour the reserved
-//! `{"kind":"shutdown"}` request (or `POST /shutdown`) for a graceful
-//! exit, and `--shards N` partitions the cache/store/admission state
-//! across N consistent-hash worker shards.
+//! requests on stdin, one compact JSON response line per request; a
+//! line holding a JSON array is served as one batch and answered with
+//! one array line. `--http ADDR` serves the same service over HTTP/1.1
+//! instead (keep-alive, `/metrics`, `/stats`, `POST /query` with
+//! stdin-identical bytes — see `pvc_report::httpfront`). Both frontends
+//! honour the reserved `{"kind":"shutdown"}` request (or
+//! `POST /shutdown`) for a graceful exit.
 //!
 //! Both frontends run with telemetry attached (a 64-entry flight
 //! recorder), so a `{"kind":"stats"}` request answers with the live
@@ -387,7 +385,6 @@ struct ServeFlags {
     cfg: ServeConfig,
     stats: bool,
     rounds: usize,
-    tcp: Option<String>,
     http: Option<String>,
     access_log: Option<String>,
     store: Option<String>,
@@ -399,7 +396,6 @@ fn parse_serve_flags(args: &[String]) -> Result<ServeFlags, String> {
         cfg: ServeConfig::default(),
         stats: false,
         rounds: 1,
-        tcp: None,
         http: None,
         access_log: None,
         store: None,
@@ -419,12 +415,6 @@ fn parse_serve_flags(args: &[String]) -> Result<ServeFlags, String> {
             "--queue-depth" => f.cfg.queue_depth = num(&mut it, "--queue-depth")?,
             "--cache-cap" => f.cfg.cache_capacity = num(&mut it, "--cache-cap")?,
             "--budget" => f.cfg.default_budget = num(&mut it, "--budget")? as u64,
-            "--shards" => f.cfg.shards = num(&mut it, "--shards")?.max(1),
-            "--tcp" => {
-                f.tcp = Some(
-                    it.next().ok_or("--tcp needs an address")?.clone(),
-                )
-            }
             "--http" => {
                 f.http = Some(
                     it.next().ok_or("--http needs an address")?.clone(),
@@ -541,30 +531,21 @@ fn describe_open(report: &pvc_store::OpenReport) -> String {
     s
 }
 
-/// Opens the disk tier rooted at `path` and attaches it below the LRU —
-/// one segment file per shard (`path` itself for a one-shard service,
-/// `path.shard<i>of<n>` otherwise), each bound to its shard-specific
-/// build fingerprint so a cluster resize resets stale partitions. The
-/// open outcomes print on stderr so response bytes on stdout stay
-/// untouched.
+/// Opens the disk tier at `path`, bound to the build fingerprint, and
+/// attaches it below the LRU. The open outcome prints on stderr so
+/// response bytes on stdout stay untouched.
 fn attach_catalog_store(service: &mut Service<CatalogExecutor>, path: &str) -> bool {
-    let shards = service.shard_count();
-    let base_fp = pvc_report::warm::build_fingerprint();
-    for shard in 0..shards {
-        let shard_path = pvc_report::warm::shard_store_path(path, shard, shards);
-        let fp = pvc_report::warm::shard_fingerprint(base_fp, shard, shards);
-        match pvc_store::Store::open(&shard_path, fp) {
-            Ok((store, report)) => {
-                eprintln!("store {shard_path}: {}", describe_open(&report));
-                service.attach_shard_store(shard, store, &report);
-            }
-            Err(e) => {
-                eprintln!("failed to open store {shard_path}: {e}");
-                return false;
-            }
+    match pvc_store::Store::open(path, pvc_report::warm::build_fingerprint()) {
+        Ok((store, report)) => {
+            eprintln!("store {path}: {}", describe_open(&report));
+            service.attach_store(store, &report);
+            true
+        }
+        Err(e) => {
+            eprintln!("failed to open store {path}: {e}");
+            false
         }
     }
-    true
 }
 
 /// `reproduce warm`: enumerate the registry's full grid and persist
@@ -575,7 +556,6 @@ fn attach_catalog_store(service: &mut Service<CatalogExecutor>, path: &str) -> b
 /// 1 on failed requests or a failed verify, 2 on usage errors.
 fn run_warm(args: &[String]) -> i32 {
     let mut store_path = "pvc-store.bin".to_string();
-    let mut shards = 1usize;
     let mut chaos = false;
     let mut verify = false;
     let mut it = args.iter();
@@ -588,18 +568,11 @@ fn run_warm(args: &[String]) -> i32 {
                     return 2;
                 }
             },
-            "--shards" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => shards = n.max(1),
-                None => {
-                    eprintln!("--shards needs an unsigned integer");
-                    return 2;
-                }
-            },
             "--chaos" => chaos = true,
             "--verify" => verify = true,
             other => {
                 eprintln!("unknown warm argument '{other}'");
-                eprintln!("usage: reproduce warm [--store PATH] [--shards N] [--chaos] [--verify]");
+                eprintln!("usage: reproduce warm [--store PATH] [--chaos] [--verify]");
                 return 2;
             }
         }
@@ -610,30 +583,24 @@ fn run_warm(args: &[String]) -> i32 {
         pvc_report::warm::warm_corpus()
     };
     // The whole corpus is one admitted batch: raise the queue so
-    // nothing sheds (the depth bound is per shard, so the single-shard
-    // bound covers every cluster size), leave other knobs at defaults.
+    // nothing sheds, leave other knobs at defaults.
     let mut cfg = ServeConfig::default();
     cfg.queue_depth = cfg.queue_depth.max(corpus.len());
-    cfg.shards = shards;
     let mut service = new_catalog_service(cfg);
-    let base_fp = pvc_report::warm::build_fingerprint();
-    for shard in 0..shards {
-        let shard_path = pvc_report::warm::shard_store_path(&store_path, shard, shards);
-        let fp = pvc_report::warm::shard_fingerprint(base_fp, shard, shards);
-        let (store, report) = match pvc_store::Store::open(&shard_path, fp) {
+    let (store, report) =
+        match pvc_store::Store::open(&store_path, pvc_report::warm::build_fingerprint()) {
             Ok(opened) => opened,
             Err(e) => {
-                eprintln!("failed to open store {shard_path}: {e}");
+                eprintln!("failed to open store {store_path}: {e}");
                 return 1;
             }
         };
-        println!("store {shard_path}: {}", describe_open(&report));
-        if verify && report.status != pvc_store::OpenStatus::Loaded {
-            eprintln!("verify failed: store must already be warm for this build fingerprint");
-            return 1;
-        }
-        service.attach_shard_store(shard, store, &report);
+    println!("store {store_path}: {}", describe_open(&report));
+    if verify && report.status != pvc_store::OpenStatus::Loaded {
+        eprintln!("verify failed: store must already be warm for this build fingerprint");
+        return 1;
     }
+    service.attach_store(store, &report);
     let batch: Vec<_> = corpus.iter().map(|t| Request::parse(t)).collect();
     let envelopes = service.handle_batch(batch);
     let failed = envelopes
@@ -720,12 +687,12 @@ fn serve_session(
     Ok(())
 }
 
-/// `reproduce serve`: long-running loop on stdin (default) or TCP.
+/// `reproduce serve`: long-running loop on stdin (default) or HTTP.
 fn run_serve(args: &[String]) -> i32 {
     let flags = match parse_serve_flags(args) {
         Ok(f) if f.files.is_empty() => f,
         Ok(_) => {
-            eprintln!("serve takes no file arguments; pipe requests to stdin or use --tcp");
+            eprintln!("serve takes no file arguments; pipe requests to stdin or use --http");
             return 2;
         }
         Err(e) => {
@@ -749,18 +716,12 @@ fn run_serve(args: &[String]) -> i32 {
             return 2;
         }
     }
-    if flags.tcp.is_some() && flags.http.is_some() {
-        eprintln!("choose one frontend: --tcp or --http");
-        return 2;
-    }
-    let result = match (&flags.tcp, &flags.http) {
-        (None, None) => {
+    let result = match &flags.http {
+        None => {
             let stdin = std::io::stdin();
             serve_session(&service, stdin.lock(), std::io::stdout().lock(), &mut access)
         }
-        (Some(addr), None) => serve_tcp(&service, addr, &mut access),
-        (None, Some(addr)) => serve_http_front(&service, addr, &mut access),
-        (Some(_), Some(_)) => unreachable!("rejected above"),
+        Some(addr) => serve_http_front(&service, addr, &mut access),
     };
     if flags.stats {
         print_serve_stats(&service);
@@ -774,44 +735,7 @@ fn run_serve(args: &[String]) -> i32 {
     }
 }
 
-/// Accepts connections sequentially; one session each, shared cache.
-/// Per-connection failures (a client disconnecting mid-line, a failed
-/// accept, a failed handle clone) end that connection and keep the
-/// server accepting — only a shutdown request stops the loop.
-fn serve_tcp(
-    service: &Service<CatalogExecutor>,
-    addr: &str,
-    access: &mut Option<std::fs::File>,
-) -> std::io::Result<()> {
-    let listener = std::net::TcpListener::bind(addr)?;
-    eprintln!("serving on {}", listener.local_addr()?);
-    for stream in listener.incoming() {
-        let stream = match stream {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("accept failed: {e}");
-                continue;
-            }
-        };
-        let reader = match stream.try_clone() {
-            Ok(clone) => std::io::BufReader::new(clone),
-            Err(e) => {
-                eprintln!("connection setup failed: {e}");
-                continue;
-            }
-        };
-        if let Err(e) = serve_session(service, reader, stream, access) {
-            eprintln!("connection ended: {e}");
-        }
-        if service.shutdown_requested() {
-            eprintln!("shutdown requested; stopping accept loop");
-            break;
-        }
-    }
-    Ok(())
-}
-
-/// The HTTP/1.1 frontend: the same dispatcher behind the zero-dep
+/// The HTTP/1.1 frontend: the same service behind the zero-dep
 /// [`pvc_serve::http`] server and the `pvc_report::httpfront` routes.
 /// Keep-alive, chunked responses, `/metrics`, `/stats`, and a
 /// `POST /query` whose bytes match the stdin frontend exactly.
@@ -844,8 +768,8 @@ fn run_stats(args: &[String]) -> i32 {
             return 2;
         }
     };
-    if flags.tcp.is_some() || flags.http.is_some() {
-        eprintln!("stats is offline; --tcp/--http belong to `reproduce serve`");
+    if flags.http.is_some() {
+        eprintln!("stats is offline; --http belongs to `reproduce serve`");
         return 2;
     }
     let mut texts: Vec<String> = Vec::new();

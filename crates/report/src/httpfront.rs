@@ -2,9 +2,8 @@
 //! zero-dependency [`pvc_serve::http`] server.
 //!
 //! One function, [`handle`], maps a parsed [`HttpRequest`] onto the
-//! shared [`Dispatcher`] — the same dispatcher instance the stdin and
-//! TCP frontends adapt, so every frontend shares one cache, one store
-//! tier, one metrics registry:
+//! shared [`Service`] — the same service type the stdin frontend
+//! adapts, with one cache, one store tier and one metrics registry:
 //!
 //! | route | maps to |
 //! |---|---|
@@ -44,8 +43,8 @@ const INDEX: &str = "\
 pvc-serve HTTP frontend — deterministic paper-catalog queries
 
   GET  /healthz                   liveness probe
-  GET  /metrics                   Prometheus exposition (global + per-shard serve.* counters)
-  GET  /stats                     full stats envelope (counters, gauges, quantiles, shards)
+  GET  /metrics                   Prometheus exposition (serve.* counters and gauges)
+  GET  /stats                     full stats envelope (counters, gauges, quantiles)
   POST /query                     one request object or array batch (stdin-frontend bytes)
   GET  /table/<1-6>               rendered paper table   (Accept: text/plain for raw text)
   GET  /figure/<1-4>              figure data            (figure 1 negotiates text/csv)
@@ -55,7 +54,7 @@ pvc-serve HTTP frontend — deterministic paper-catalog queries
   POST /shutdown                  graceful shutdown (drains, then stops accepting)
 ";
 
-/// Routes one HTTP exchange onto the shared dispatcher. Pure with
+/// Routes one HTTP exchange onto the shared service. Pure with
 /// respect to the connection: all state lives in `service`.
 pub fn handle(
     service: &Service<CatalogExecutor>,
@@ -145,7 +144,7 @@ fn query(service: &Service<CatalogExecutor>, body: &[u8]) -> HttpResponse {
     HttpResponse::ok(CT_JSON, format!("{reply}\n").into_bytes())
 }
 
-/// Serves one catalog request document through the dispatcher and
+/// Serves one catalog request document through the service and
 /// negotiates the representation from the `Accept` header.
 fn catalog(
     service: &Service<CatalogExecutor>,
@@ -189,7 +188,7 @@ fn catalog(
 }
 
 /// `GET /trace/<workload>/<system>`: the deterministic profiler's
-/// Chrome-trace artifact. Served outside the dispatcher (the artifact
+/// Chrome-trace artifact. Served outside the service (the artifact
 /// is a rendering, not a cacheable catalog result) but validated the
 /// same way `reproduce profile` validates it.
 fn trace(http: &HttpRequest, workload: &str, system: &str) -> (HttpResponse, After) {

@@ -77,33 +77,6 @@ pub fn build_fingerprint() -> u64 {
     fnv1a64(desc.as_bytes())
 }
 
-/// The segment-file path for shard `shard` of an `shards`-way cluster
-/// rooted at `base`. A one-shard cluster uses `base` unchanged, so
-/// every pre-sharding store (and every `warm` invocation) stays valid;
-/// a sharded cluster derives `base.shard<i>of<n>` so partitions never
-/// collide on disk.
-pub fn shard_store_path(base: &str, shard: usize, shards: usize) -> String {
-    if shards <= 1 {
-        base.to_string()
-    } else {
-        format!("{base}.shard{shard}of{shards}")
-    }
-}
-
-/// The per-shard build fingerprint: the base fingerprint for a
-/// one-shard cluster (bit-compatible with existing stores), otherwise
-/// the base hashed with the shard's identity `(shard, shards)`. Bound
-/// to the cluster size on purpose — resizing from `n` to `m` shards
-/// changes every shard file's fingerprint, so stale partitions reset
-/// instead of serving keys they no longer own.
-pub fn shard_fingerprint(base: u64, shard: usize, shards: usize) -> u64 {
-    if shards <= 1 {
-        base
-    } else {
-        fnv1a64(format!("{base:016x}|shard {shard} of {shards}").as_bytes())
-    }
-}
-
 /// Every request document the catalog can answer deterministically:
 /// the 63 `run` scenarios, the canned tables/figures/ablations, the
 /// per-system PCIe sweeps, every registered profile workload, the

@@ -173,6 +173,34 @@ fn query_without_files_prints_usage_and_examples() {
 }
 
 #[test]
+fn removed_serving_flags_are_rejected_as_usage_errors() {
+    // One process serves one cache, one store and one queue: the raw
+    // TCP frontend and the worker-count flag are gone, and asking for either
+    // is a usage error (exit 2) rather than a silently ignored knob.
+    let dir = std::env::temp_dir().join("pvc_cli_removed_flags_test");
+    let _ = std::fs::remove_dir_all(&dir);
+    let req = write_request(&dir, "t2.json", r#"{"kind":"table","id":2}"#);
+    for args in [
+        vec!["serve", "--tcp", "127.0.0.1:0"],
+        vec!["query", "--shards", "2", req.as_str()],
+        vec!["warm", "--shards", "2"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+            .args(&args)
+            .current_dir(&dir)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("unknown flag") || stderr.contains("usage: reproduce"),
+            "{args:?} must name the bad flag or print usage: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn serve_stdin_session_answers_line_per_request() {
     use std::io::Write;
     use std::process::{Command, Stdio};

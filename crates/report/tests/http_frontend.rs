@@ -1,13 +1,12 @@
 //! End-to-end properties of the HTTP/1.1 frontend: the `POST /query`
 //! bytes are identical to the stdin frontend's, keep-alive connections
-//! replay to byte-identical bodies, `/metrics` exposes the global and
-//! per-shard `serve.*` counters, content negotiation unwraps rendered
-//! text, and `POST /shutdown` stops the accept loop gracefully.
+//! replay to byte-identical bodies, `/metrics` exposes the `serve.*`
+//! counters, content negotiation unwraps rendered text, and
+//! `POST /shutdown` stops the accept loop gracefully.
 //!
-//! The service holds `Rc`/`RefCell` state (deliberately: shards
-//! partition state, not OS threads), so each test constructs it inside
-//! the server thread and talks to it like any other client would —
-//! over a socket.
+//! The service holds `Rc`/`RefCell` state (one cache, one queue, one
+//! thread), so each test constructs it inside the server thread and
+//! talks to it like any other client would — over a socket.
 
 use pvc_core::Json;
 use pvc_report::serve::{CatalogExecutor, CANNED_REQUESTS};
@@ -16,18 +15,14 @@ use pvc_serve::{Request, ServeConfig, Service, Telemetry};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 
-fn cfg(shards: usize) -> ServeConfig {
-    ServeConfig { shards, ..ServeConfig::default() }
-}
-
 /// Boots the catalog service behind the HTTP frontend on an ephemeral
 /// port; returns the address and the server thread handle (joins when
 /// a client POSTs /shutdown).
-fn boot(shards: usize) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+fn boot() -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral bind");
     let addr = listener.local_addr().expect("bound address");
     let handle = std::thread::spawn(move || {
-        let mut service = Service::new(CatalogExecutor, cfg(shards));
+        let mut service = Service::new(CatalogExecutor, ServeConfig::default());
         service.set_telemetry(Telemetry::recording(64));
         serve_http(&listener, |req| pvc_report::httpfront::handle(&service, req))
             .expect("server loop exits cleanly");
@@ -131,8 +126,8 @@ fn canned_line() -> String {
 
 /// What the stdin frontend prints for `canned_line()`: one compact
 /// array line. Computed against a local service with the same knobs.
-fn stdin_bytes(shards: usize) -> String {
-    let service = Service::new(CatalogExecutor, cfg(shards));
+fn stdin_bytes() -> String {
+    let service = Service::new(CatalogExecutor, ServeConfig::default());
     let batch: Vec<_> = match pvc_core::json::parse(&canned_line()) {
         Ok(Json::Arr(items)) => items.into_iter().map(Request::from_json).collect(),
         _ => panic!("canned line is an array"),
@@ -142,7 +137,7 @@ fn stdin_bytes(shards: usize) -> String {
 
 #[test]
 fn query_bytes_match_stdin_frontend_and_replay_identically_over_keepalive() {
-    let (addr, handle) = boot(2);
+    let (addr, handle) = boot();
     let line = canned_line();
     let (mut w, mut r) = connect(addr);
 
@@ -157,13 +152,12 @@ fn query_bytes_match_stdin_frontend_and_replay_identically_over_keepalive() {
     );
     assert_eq!(
         String::from_utf8(first).expect("utf8 body"),
-        stdin_bytes(1),
-        "HTTP /query bytes must equal the stdin frontend's array line \
-         (and the 2-shard dispatcher must equal the 1-shard output)"
+        stdin_bytes(),
+        "HTTP /query bytes must equal the stdin frontend's array line"
     );
 
-    // The same connection scrapes /metrics: global and per-shard
-    // counters are exposed in Prometheus text format.
+    // The same connection scrapes /metrics: the counters are exposed
+    // in Prometheus text format.
     let (status, headers, metrics) = request(&mut w, &mut r, "GET", "/metrics", None, None);
     assert_eq!(status, 200);
     assert!(headers
@@ -171,22 +165,14 @@ fn query_bytes_match_stdin_frontend_and_replay_identically_over_keepalive() {
         .any(|(n, v)| n == "content-type" && v.contains("version=0.0.4")));
     let text = String::from_utf8(metrics).expect("metrics utf8");
     assert!(text.lines().any(|l| l.starts_with("serve_requests ")));
-    assert!(
-        text.lines().any(|l| l.starts_with("serve_shard0_")),
-        "shard 0 counters exposed:\n{text}"
-    );
-    assert!(
-        text.lines().any(|l| l.starts_with("serve_shard1_")),
-        "shard 1 counters exposed"
-    );
     drop(w);
     drop(r);
     shutdown(addr, handle);
 }
 
 #[test]
-fn stats_route_reports_per_shard_breakdown() {
-    let (addr, handle) = boot(2);
+fn stats_route_reports_the_global_registry() {
+    let (addr, handle) = boot();
     let (mut w, mut r) = connect(addr);
     let (status, _, _) = request(
         &mut w,
@@ -201,23 +187,25 @@ fn stats_route_reports_per_shard_breakdown() {
     assert_eq!(status, 200);
     let envelope = pvc_core::json::parse(std::str::from_utf8(&body).unwrap().trim())
         .expect("stats envelope parses");
-    let shards = envelope
-        .get("result")
-        .and_then(|b| b.get("shards"))
-        .and_then(Json::as_array)
-        .expect("stats carries the shards breakdown");
-    assert_eq!(shards.len(), 2);
-    let hits_plus_misses: i64 = shards
-        .iter()
-        .map(|e| {
-            let int = |f: &str| match e.get(f) {
-                Some(Json::Int(v)) => *v,
-                _ => panic!("breakdown missing {f}"),
-            };
-            int("cache_hits") + int("misses")
-        })
-        .sum();
-    assert_eq!(hits_plus_misses, 1, "exactly one routed request so far");
+    let result = envelope.get("result").expect("stats carries a result");
+    let Json::Obj(fields) = result else {
+        panic!("stats result is an object");
+    };
+    let names: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(
+        names,
+        ["counters", "flight_recorder", "gauges", "quantiles"],
+        "the stats body is the global registry and the flight recorder, nothing else"
+    );
+    let counter = |name: &str| match result.get("counters").and_then(|c| c.get(name)) {
+        Some(Json::Int(v)) => *v,
+        _ => 0,
+    };
+    assert_eq!(
+        counter("serve.cache.hit") + counter("serve.cache.miss"),
+        1,
+        "exactly one catalog request so far"
+    );
     drop(w);
     drop(r);
     shutdown(addr, handle);
@@ -225,7 +213,7 @@ fn stats_route_reports_per_shard_breakdown() {
 
 #[test]
 fn catalog_routes_negotiate_content_type() {
-    let (addr, handle) = boot(1);
+    let (addr, handle) = boot();
     let (mut w, mut r) = connect(addr);
 
     // text/plain unwraps the rendered table text.
@@ -271,7 +259,7 @@ fn catalog_routes_negotiate_content_type() {
 
 #[test]
 fn client_disconnects_do_not_kill_the_http_frontend() {
-    let (addr, handle) = boot(2);
+    let (addr, handle) = boot();
     // Half a request, then vanish.
     {
         let mut broken = TcpStream::connect(addr).expect("connect");

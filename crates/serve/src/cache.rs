@@ -77,9 +77,9 @@ impl ResultCache {
         self.entries.is_empty()
     }
 
-    /// Keys in LRU order (front = next eviction candidate). For tests
-    /// and introspection.
-    pub fn keys_lru_order(&self) -> Vec<u64> {
+    /// Keys in LRU order (front = next eviction candidate).
+    #[cfg(test)]
+    fn keys_lru_order(&self) -> Vec<u64> {
         self.entries.iter().map(|e| e.key).collect()
     }
 }

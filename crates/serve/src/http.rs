@@ -20,10 +20,9 @@
 //! the workspace's double-run gate.
 //!
 //! The accept loop is single-threaded: one connection is served to
-//! completion before the next is accepted. That is not a scalability
-//! sin here — the service itself is single-process by design (the
-//! shards partition state, not OS threads), and a serial accept loop is
-//! what makes `cmp`-based byte-identity CI gates meaningful.
+//! completion before the next is accepted. The service behind it is one
+//! cache, one store and one queue on one thread, and a serial accept
+//! loop is what makes `cmp`-based byte-identity CI gates meaningful.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};

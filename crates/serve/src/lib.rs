@@ -15,28 +15,15 @@
 //!   single-flight dedup of identical requests plus **atom
 //!   coalescing** — compatible sweep requests decompose into shared
 //!   atoms, each unique atom simulated once per pass.
-//! * [`shard`] — the worker-shard layer: Lamping–Veach jump consistent
-//!   hashing partitions the canonical key space across N shards, each
-//!   the exclusive owner of its LRU slice, optional disk-store tier and
-//!   bounded admission queue. Entries are never duplicated across
-//!   shards, and growing the cluster moves keys only onto the new
-//!   shard.
-//! * [`dispatch`] — [`Dispatcher`](dispatch::Dispatcher): routes single
-//!   requests to their owning shard, fans batches out, and merges atom
-//!   results deterministically (index order — fan-out responses are
-//!   byte-identical to the single-shard output). Carries admission
-//!   control (per-shard bounded queues, typed
+//! * [`service`] — [`Service`](service::Service): one LRU, one
+//!   optional [`pvc_store::Store`] disk tier and one bounded admission
+//!   queue per process. Carries admission control (typed
 //!   [`ServeError::Overloaded`] load shedding), deterministic
 //!   per-request cost budgets, and parallel atom execution on
-//!   [`pvc_core::par`]. Global `serve.*` and per-shard
-//!   `serve.shard<i>.*` counters are exported through a
+//!   [`pvc_core::par`]. `serve.*` counters are exported through a
 //!   [`pvc_obs::Metrics`] registry; a reserved `stats` request kind
-//!   answers with the full snapshot (counters, gauges, cost quantiles,
-//!   per-shard breakdown) and a reserved `shutdown` kind latches
-//!   graceful frontend shutdown.
-//! * [`service`] — the [`Executor`](service::Executor) contract, the
-//!   [`ServeConfig`] knobs, and the [`Service`](service::Service) alias
-//!   (a one-shard dispatcher — the monolith is the degenerate case).
+//!   answers with the full snapshot (counters, gauges, cost quantiles)
+//!   and a reserved `shutdown` kind latches graceful frontend shutdown.
 //! * [`http`] — a zero-dependency HTTP/1.1 server primitive
 //!   (keep-alive, chunked responses, bounded parsing, no `Date`
 //!   header) that the `reproduce serve --http` frontend builds on.
@@ -57,21 +44,20 @@
 
 pub mod batch;
 pub mod cache;
-pub mod dispatch;
 pub mod http;
 pub mod request;
 pub mod service;
-pub mod shard;
 pub mod telemetry;
 
 pub use batch::{Atom, BatchPlan};
 pub use cache::ResultCache;
-pub use dispatch::Dispatcher;
 pub use http::{After, HttpRequest, HttpResponse};
 pub use request::{fnv1a64, Request};
 pub use service::{Executor, ServeConfig, Service, SHUTDOWN_KIND, STATS_KIND};
-pub use shard::{shard_metric, shard_of, Shard};
 pub use telemetry::{Anomaly, Outcome, RequestTelemetry, Telemetry};
+
+/// `Service` under its older name; `perfbench/src/traced.rs` is its only caller.
+pub type Dispatcher<E> = Service<E>;
 
 /// Typed service-level rejections. Every variant renders as a JSON
 /// error envelope (never a panic, never an indefinite block).

@@ -126,13 +126,9 @@ pub struct RequestTelemetry {
     pub cost: Option<u64>,
     /// The budget the cost was compared against.
     pub budget: Option<u64>,
-    /// Unique computations already queued **on the owning shard** when
-    /// this request was considered (the admission-time queue depth; the
-    /// global depth on a one-shard service).
+    /// Unique computations already queued when this request was
+    /// considered (the admission-time queue depth).
     pub queue_depth: Option<u64>,
-    /// The shard owning this request's key partition. `None` for
-    /// dispatcher-level outcomes (bad_request, stats, shutdown).
-    pub shard: Option<u64>,
     /// Atoms assigned to this request's computation after coalescing.
     pub atoms: Option<u64>,
     /// The canonical chaos spec carried by the request, if any.
@@ -159,7 +155,6 @@ impl RequestTelemetry {
             ("outcome", Json::str(self.outcome.as_str())),
             ("queue_depth", opt_u64(self.queue_depth)),
             ("seq", Json::Int(self.seq as i64)),
-            ("shard", opt_u64(self.shard)),
         ])
     }
 }
@@ -312,7 +307,6 @@ mod tests {
             cost: Some(3),
             budget: Some(64),
             queue_depth: Some(0),
-            shard: Some(0),
             atoms: Some(1),
             chaos: None,
         }

@@ -9,7 +9,7 @@
 //! parallelism requirement) while staying deterministic.
 
 use pvc_core::Json;
-use pvc_serve::{Atom, Executor, Request, ServeConfig, Service};
+use pvc_serve::{fnv1a64, Atom, Executor, Request, ServeConfig, Service};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn pin_threads() {
@@ -265,4 +265,24 @@ fn envelope_echoes_canonical_request_and_key() {
     let req = Request::parse(r#"{"kind":"item","n":9}"#).unwrap();
     assert_eq!(r.get("key").and_then(Json::as_str), Some(req.key_hex().as_str()));
     assert_eq!(r.get("request"), Some(req.canon()));
+    // The content address is the FNV-1a hash of the canonical text, so
+    // the cache and the store agree on every key.
+    assert_eq!(req.key(), fnv1a64(req.text().as_bytes()));
+}
+
+#[test]
+fn shutdown_kind_latches_and_answers_ok() {
+    pin_threads();
+    let s = service(ServeConfig::default());
+    assert!(!s.shutdown_requested());
+    let r = s.handle_lines(&[r#"{"kind":"shutdown"}"#]).remove(0);
+    assert_eq!(
+        r.get("result").and_then(|b| b.get("shutting_down")),
+        Some(&Json::Bool(true))
+    );
+    assert!(s.shutdown_requested(), "flag latches");
+    assert_eq!(s.metrics().counter("serve.shutdown"), 1);
+    // Still serves the rest of the drain.
+    let r = s.handle_lines(&[&item(1)]).remove(0);
+    assert!(r.get("result").is_some());
 }
