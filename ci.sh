@@ -252,4 +252,20 @@ run grep -q '^serve_rejected_overload 2$' "$http_dir/shed-metrics.out"
 wait "$http_pid"
 http_pid=""
 
+# 14. Figure 1 is independent of the worker count: the sweep fans out
+#     over (line size x footprint) tasks and merges by index, so a
+#     sequential run, a default-thread run and an oversubscribed run
+#     print the same bytes.
+fig1_dir="$http_dir/fig1"
+mkdir -p "$fig1_dir"
+PVC_THREADS=1 cargo run --offline --release -p pvc-report --bin reproduce \
+  fig1 > "$fig1_dir/t1.csv"
+cargo run --offline --release -p pvc-report --bin reproduce \
+  fig1 > "$fig1_dir/default.csv"
+PVC_THREADS=3 cargo run --offline --release -p pvc-report --bin reproduce \
+  fig1 > "$fig1_dir/t3.csv"
+test -s "$fig1_dir/t1.csv"
+run cmp "$fig1_dir/t1.csv" "$fig1_dir/default.csv"
+run cmp "$fig1_dir/t1.csv" "$fig1_dir/t3.csv"
+
 echo "ci: all gates green"

@@ -13,11 +13,9 @@ pub struct CacheSim {
     line_bytes: u64,
     sets: u64,
     assoc: usize,
-    /// `tags[set * assoc + way]`; `u64::MAX` marks an empty way.
+    /// `tags[set * assoc..][..assoc]` holds one set's tags ordered from
+    /// MRU to LRU; `u64::MAX` marks an empty way.
     tags: Vec<u64>,
-    /// LRU ordering per set: `order[set]` lists way indices from MRU to
-    /// LRU.
-    order: Vec<Vec<u8>>,
     hits: u64,
     misses: u64,
 }
@@ -35,13 +33,11 @@ impl CacheSim {
         assert!(raw_sets > 0, "cache smaller than one set");
         let sets = 1u64 << (63 - raw_sets.leading_zeros());
         let assoc = associativity as usize;
-        assert!(assoc <= u8::MAX as usize, "associativity too large");
         CacheSim {
             line_bytes: line_bytes as u64,
             sets,
             assoc,
             tags: vec![u64::MAX; (sets as usize) * assoc],
-            order: vec![(0..assoc as u8).collect(); sets as usize],
             hits: 0,
             misses: 0,
         }
@@ -61,23 +57,14 @@ impl CacheSim {
         let tag = line / self.sets;
         let base = set * self.assoc;
         let ways = &mut self.tags[base..base + self.assoc];
-        let order = &mut self.order[set];
 
-        if let Some(way) = ways.iter().position(|&t| t == tag) {
-            let pos = order
-                .iter()
-                .position(|&w| w as usize == way)
-                .expect("way in LRU order");
-            let w = order.remove(pos);
-            order.insert(0, w);
+        if let Some(pos) = ways.iter().position(|&t| t == tag) {
+            ways[..=pos].rotate_right(1);
             self.hits += 1;
             true
         } else {
-            let victim = *order.last().expect("non-empty LRU order");
-            ways[victim as usize] = tag;
-            let pos = order.len() - 1;
-            let w = order.remove(pos);
-            order.insert(0, w);
+            ways.rotate_right(1);
+            ways[0] = tag;
             self.misses += 1;
             false
         }

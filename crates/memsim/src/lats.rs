@@ -10,16 +10,26 @@
 //! chain defeats memory-level parallelism. The paper's 16-work-item
 //! coalesced variant maps all 16 lanes into the same cache line, so a
 //! chase step is one line access (see crate docs).
+//!
+//! The ring is a single Sattolo cycle over the footprint's line slots.
+//! The simulator only needs the order in which the chase visits them, so
+//! a [`ChaseCycle`] stores that order flat and is walked front to back:
+//! the host reads it sequentially instead of following a dependent
+//! successor load per step, and the simulated caches see the same
+//! address sequence. One cycle depends only on the slot count, so it can
+//! be chased through every hierarchy with the same line size.
 
 use crate::cache::Hierarchy;
-use pvc_arch::GpuModel;
+use pvc_arch::{GpuModel, Partition};
 
 /// Configuration of a latency sweep.
 #[derive(Debug, Clone)]
 pub struct LatsConfig {
     /// Smallest footprint in bytes (default 16 KiB).
     pub min_bytes: u64,
-    /// Largest footprint in bytes (default 1 GiB).
+    /// Upper bound on the footprint in bytes (default 1 GiB). The sweep
+    /// stops at the last point not above it, see
+    /// [`footprints`](Self::footprints).
     pub max_bytes: u64,
     /// Sweep points per octave (default 2: ×√2 spacing like the
     /// original benchmark's plot).
@@ -39,6 +49,24 @@ impl Default for LatsConfig {
     }
 }
 
+impl LatsConfig {
+    /// The swept footprints in bytes: `min_bytes` multiplied up by
+    /// `2^(1/points_per_octave)` in `f64` while not above `max_bytes`.
+    /// Rounding in the float walk can push a point that should land on
+    /// `max_bytes` just above it, and that point is dropped: the default
+    /// sweep runs 16 KiB … 759 250 124 B and has no 1 GiB point.
+    pub fn footprints(&self) -> Vec<u64> {
+        let step = 2f64.powf(1.0 / self.points_per_octave as f64);
+        let mut out = Vec::new();
+        let mut footprint = self.min_bytes as f64;
+        while footprint <= self.max_bytes as f64 {
+            out.push(footprint as u64);
+            footprint *= step;
+        }
+        out
+    }
+}
+
 /// One point of the Figure 1 curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyPoint {
@@ -48,6 +76,18 @@ pub struct LatencyPoint {
     pub cycles: f64,
     /// Mean access latency in nanoseconds at the device's max clock.
     pub nanos: f64,
+}
+
+impl LatencyPoint {
+    /// The point for `cycles` measured at `footprint_bytes` on a device
+    /// clocked at `clock_hz`.
+    pub fn new(footprint_bytes: u64, cycles: f64, clock_hz: f64) -> Self {
+        LatencyPoint {
+            footprint_bytes,
+            cycles,
+            nanos: cycles / clock_hz * 1e9,
+        }
+    }
 }
 
 /// Runs the pointer-chase sweep on one partition of `gpu`.
@@ -69,64 +109,119 @@ pub struct LatencyPoint {
 /// footprint), matching the original `lats`' randomized ring that defeats
 /// hardware prefetch.
 pub fn latency_profile(gpu: &GpuModel, cfg: &LatsConfig) -> Vec<LatencyPoint> {
-    let mut out = Vec::new();
     let clock_hz = gpu.clock.max_hz();
-    let mut footprint = cfg.min_bytes as f64;
-    let step = 2f64.powf(1.0 / cfg.points_per_octave as f64);
-    while footprint <= cfg.max_bytes as f64 {
-        let bytes = footprint as u64;
-        let cycles = chase(gpu, bytes, cfg.steps);
-        out.push(LatencyPoint {
-            footprint_bytes: bytes,
-            cycles,
-            nanos: cycles / clock_hz * 1e9,
-        });
-        footprint *= step;
-    }
-    out
+    cfg.footprints()
+        .into_iter()
+        .map(|bytes| LatencyPoint::new(bytes, chase(gpu, bytes, cfg.steps), clock_hz))
+        .collect()
 }
 
 /// Mean per-access latency (cycles) chasing a ring of `footprint_bytes`.
 pub fn chase(gpu: &GpuModel, footprint_bytes: u64, steps: u64) -> f64 {
-    let line = gpu.partition.caches.first().map_or(64, |c| c.line_bytes) as u64;
-    let slots = (footprint_bytes / line).max(1);
-    let ring = permutation_ring(slots);
-
-    let mut h = Hierarchy::for_partition(&gpu.partition);
-    // Warm-up: one full traversal fills whatever fits. For footprints far
-    // beyond the outermost cache a partial traversal is statistically
-    // identical (almost every measured access misses anyway), so the
-    // warm-up is capped to bound simulation cost.
-    let outer_lines = gpu
-        .partition
-        .caches
-        .iter()
-        .map(|c| c.size_bytes / c.line_bytes as u64)
-        .max()
-        .unwrap_or(0);
-    let warmup = slots.min(outer_lines.saturating_mul(3).max(1 << 20));
-    let mut idx = 0u64;
-    for _ in 0..warmup {
-        let _ = h.access(ring[idx as usize] * line);
-        idx = ring[idx as usize];
-    }
-    // Measured phase.
-    let mut total = 0.0;
-    let mut idx = 0u64;
-    let measured = steps.min(slots.saturating_mul(4)).max(slots.min(steps));
-    for _ in 0..measured {
-        total += h.access(ring[idx as usize] * line);
-        idx = ring[idx as usize];
-    }
-    total / measured as f64
+    let line = chase_line_bytes(&gpu.partition);
+    ChaseCycle::new(footprint_bytes, line).chase(&gpu.partition, steps)
 }
 
-/// A deterministic pseudo-random single-cycle permutation of
-/// `0..slots` built by Sattolo's algorithm with an xorshift generator.
-/// Single-cycle guarantees the chase visits every slot.
-fn permutation_ring(slots: u64) -> Vec<u64> {
-    let n = slots as usize;
-    let mut items: Vec<u64> = (0..slots).collect();
+/// The stride of a chase on `partition`: its innermost cache's line
+/// size (64 B when it has no cache).
+pub fn chase_line_bytes(partition: &Partition) -> u64 {
+    partition.caches.first().map_or(64, |c| c.line_bytes) as u64
+}
+
+/// Everything [`ChaseCycle::chase`] reads from a partition: each cache
+/// level's size, line size, associativity and latency, plus the memory
+/// latency. Partitions with equal keys chase to the same bits, so a
+/// sweep over several systems needs one chase per distinct key.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChaseKey {
+    /// `(size_bytes, line_bytes, associativity, latency_cycles bits)`
+    /// per level, inner to outer.
+    levels: Vec<(u64, u32, u32, u64)>,
+    memory_latency_bits: u64,
+}
+
+impl ChaseKey {
+    /// The key of `partition`.
+    pub fn of(partition: &Partition) -> Self {
+        ChaseKey {
+            levels: partition
+                .caches
+                .iter()
+                .map(|c| {
+                    let latency = c.latency_cycles.to_bits();
+                    (c.size_bytes, c.line_bytes, c.associativity, latency)
+                })
+                .collect(),
+            memory_latency_bits: partition.memory.latency_cycles.to_bits(),
+        }
+    }
+}
+
+/// The order in which a chase visits the line slots of one footprint:
+/// a deterministic pseudo-random single cycle over `0..slots`.
+#[derive(Debug, Clone)]
+pub struct ChaseCycle {
+    line_bytes: u64,
+    /// Slots in visit order. The cycle starts from slot 0, so this is
+    /// slot 0's successor first and slot 0 last.
+    order: Vec<u32>,
+}
+
+impl ChaseCycle {
+    /// The cycle over the `footprint_bytes / line_bytes` slots (at least
+    /// one) of a footprint.
+    ///
+    /// # Panics
+    /// Panics if the footprint spans 2^32 or more lines.
+    pub fn new(footprint_bytes: u64, line_bytes: u64) -> Self {
+        let slots = (footprint_bytes / line_bytes).max(1);
+        let mut order = sattolo(slots);
+        let zero = order.iter().position(|&s| s == 0).expect("slot 0 in cycle");
+        let len = order.len();
+        order.rotate_left((zero + 1) % len);
+        ChaseCycle { line_bytes, order }
+    }
+
+    /// Mean per-access latency (cycles) of chasing this cycle through a
+    /// cold hierarchy of `partition`, measuring up to `steps` accesses
+    /// after one warm-up traversal.
+    pub fn chase(&self, partition: &Partition, steps: u64) -> f64 {
+        let mut h = Hierarchy::for_partition(partition);
+        let addr = |slot: &u32| u64::from(*slot) * self.line_bytes;
+        let slots = self.order.len() as u64;
+        // Warm-up: one full traversal fills whatever fits. For footprints
+        // far beyond the outermost cache a partial traversal is
+        // statistically identical (almost every measured access misses
+        // anyway), so the warm-up is capped to bound simulation cost.
+        let outer_lines = partition
+            .caches
+            .iter()
+            .map(|c| c.size_bytes / c.line_bytes as u64)
+            .max()
+            .unwrap_or(0);
+        let warmup = slots.min(outer_lines.saturating_mul(3).max(1 << 20));
+        for slot in &self.order[..warmup as usize] {
+            let _ = h.access(addr(slot));
+        }
+        // Measured phase: restarts from slot 0 and wraps around the cycle
+        // for small footprints.
+        let measured = steps.min(slots.saturating_mul(4));
+        let mut total = 0.0;
+        for slot in self.order.iter().cycle().take(measured as usize) {
+            total += h.access(addr(slot));
+        }
+        total / measured as f64
+    }
+}
+
+/// A deterministic pseudo-random cyclic ordering of `0..slots` built by
+/// Sattolo's algorithm with an xorshift generator, seeded by the slot
+/// count. Each slot's successor is the next entry (the last wraps to the
+/// first), and the permutation is a single cycle, so a chase visits every
+/// slot.
+pub(crate) fn sattolo(slots: u64) -> Vec<u32> {
+    let n = u32::try_from(slots).expect("chase ring beyond 2^32 slots");
+    let mut items: Vec<u32> = (0..n).collect();
     let mut state = 0x9E3779B97F4A7C15u64 ^ slots;
     let mut rng = move || {
         state ^= state << 13;
@@ -134,43 +229,135 @@ fn permutation_ring(slots: u64) -> Vec<u64> {
         state ^= state << 17;
         state
     };
-    // Sattolo: single-cycle permutation.
-    let mut i = n;
+    let mut i = n as usize;
     while i > 1 {
         i -= 1;
         let j = (rng() % i as u64) as usize;
         items.swap(i, j);
     }
-    // items is now a cyclic ordering; build successor table.
-    let mut next = vec![0u64; n];
-    for k in 0..n {
-        next[items[k] as usize] = items[(k + 1) % n];
-    }
-    next
+    items
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheSim;
     use pvc_arch::systems::{h100_gpu, mi250_gpu, pvc_aurora_gpu, pvc_dawn_gpu};
 
     fn level_at(gpu: &GpuModel, footprint: u64) -> f64 {
         chase(gpu, footprint, 1 << 14)
     }
 
+    /// The successor-table walk `chase` replaced, kept as its oracle:
+    /// a `u64` Sattolo ring turned into a successor table, chased by a
+    /// dependent load per step from slot 0.
+    fn chase_reference(gpu: &GpuModel, footprint_bytes: u64, steps: u64) -> f64 {
+        let line = gpu.partition.caches.first().map_or(64, |c| c.line_bytes) as u64;
+        let slots = (footprint_bytes / line).max(1);
+        let ring = permutation_ring(slots);
+
+        let mut h = Hierarchy::for_partition(&gpu.partition);
+        let outer_lines = gpu
+            .partition
+            .caches
+            .iter()
+            .map(|c| c.size_bytes / c.line_bytes as u64)
+            .max()
+            .unwrap_or(0);
+        let warmup = slots.min(outer_lines.saturating_mul(3).max(1 << 20));
+        let mut idx = 0u64;
+        for _ in 0..warmup {
+            let _ = h.access(ring[idx as usize] * line);
+            idx = ring[idx as usize];
+        }
+        let mut total = 0.0;
+        let mut idx = 0u64;
+        let measured = steps.min(slots.saturating_mul(4)).max(slots.min(steps));
+        for _ in 0..measured {
+            total += h.access(ring[idx as usize] * line);
+            idx = ring[idx as usize];
+        }
+        total / measured as f64
+    }
+
+    fn permutation_ring(slots: u64) -> Vec<u64> {
+        let n = slots as usize;
+        let mut items: Vec<u64> = (0..slots).collect();
+        let mut state = 0x9E3779B97F4A7C15u64 ^ slots;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut i = n;
+        while i > 1 {
+            i -= 1;
+            let j = (rng() % i as u64) as usize;
+            items.swap(i, j);
+        }
+        let mut next = vec![0u64; n];
+        for k in 0..n {
+            next[items[k] as usize] = items[(k + 1) % n];
+        }
+        next
+    }
+
     #[test]
     fn permutation_is_single_cycle() {
-        for slots in [2u64, 7, 64, 1000] {
-            let ring = permutation_ring(slots);
+        for slots in [1u64, 2, 7, 64, 1000] {
+            let cycle = ChaseCycle::new(slots * 64, 64);
+            assert_eq!(cycle.order.len() as u64, slots);
             let mut seen = vec![false; slots as usize];
-            let mut idx = 0u64;
-            for _ in 0..slots {
-                assert!(!seen[idx as usize], "cycle shorter than {slots}");
-                seen[idx as usize] = true;
-                idx = ring[idx as usize];
+            for &slot in &cycle.order {
+                assert!(!seen[slot as usize], "slot {slot} visited twice");
+                seen[slot as usize] = true;
             }
-            assert_eq!(idx, 0, "must return to start");
+            // Every slot once, ending at slot 0: the walk wraps to slot
+            // 0's successor, which is where it started.
+            assert_eq!(cycle.order.last(), Some(&0));
+            let ring = permutation_ring(slots);
+            assert_eq!(cycle.order[0] as u64, ring[0], "starts at slot 0's successor");
         }
+    }
+
+    #[test]
+    fn chase_matches_successor_walk_bitwise() {
+        // Per system: a wrapping 8 KiB ring, then footprints in L1, L2
+        // and past the outer cache. 256 MiB on MI250 (4M slots) is past
+        // the warm-up cap of max(3 * 131072 L2 lines, 2^20).
+        let fixed = [8u64 << 10, 128 << 10, 4 << 20, 256 << 20];
+        for gpu in [pvc_aurora_gpu(), pvc_dawn_gpu(), h100_gpu(), mi250_gpu()] {
+            // 1/16 past each level's capacity only some sets overflow, so
+            // the mean depends on which slots the measured steps visit.
+            let past_each_level = gpu.partition.caches.iter().map(|c| {
+                let cap = CacheSim::new(c.size_bytes, c.line_bytes, c.associativity).capacity();
+                cap + cap / 16
+            });
+            for fp in fixed.into_iter().chain(past_each_level) {
+                let got = chase(&gpu, fp, 1 << 14);
+                let want = chase_reference(&gpu, fp, 1 << 14);
+                assert_eq!(got.to_bits(), want.to_bits(), "{} at {fp} B", gpu.name);
+            }
+        }
+    }
+
+    #[test]
+    fn chase_past_the_warmup_cap_matches_successor_walk() {
+        let gpu = mi250_gpu();
+        let line = chase_line_bytes(&gpu.partition);
+        let outer_lines = gpu.partition.caches.iter().map(|c| c.size_bytes / line).max().unwrap();
+        let fp = 128u64 << 20;
+        assert!(fp / line > (3 * outer_lines).max(1 << 20), "warm-up must be capped");
+        let got = chase(&gpu, fp, 1 << 16);
+        assert_eq!(got.to_bits(), chase_reference(&gpu, fp, 1 << 16).to_bits());
+    }
+
+    #[test]
+    fn default_sweep_ends_below_one_gib() {
+        let fps = LatsConfig::default().footprints();
+        assert_eq!(fps.first(), Some(&(16 << 10)));
+        assert_eq!(fps.last(), Some(&759_250_124));
     }
 
     #[test]

@@ -21,5 +21,5 @@ pub mod prefetch;
 pub mod roofline;
 
 pub use cache::{CacheSim, Hierarchy};
-pub use lats::{latency_profile, LatencyPoint, LatsConfig};
+pub use lats::{latency_profile, ChaseCycle, ChaseKey, LatencyPoint, LatsConfig};
 pub use roofline::{attainable_flops, stream_time};

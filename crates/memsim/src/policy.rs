@@ -193,6 +193,49 @@ mod tests {
         assert!(lru_matches_cachesim(4096, 64, 4, &addrs));
     }
 
+    /// LRU equivalence over random geometries (1 to 16 ways, 1 to 64 sets,
+    /// 64/128 B lines, sizes that round down to the set count) on
+    /// stack-distance streams: each access re-touches the line at a
+    /// random LRU depth of its set, or a fresh line. Under true LRU a
+    /// depth-`d` reuse hits way position `d`, so every stream must hit
+    /// every position, and each set fills its empty ways first.
+    #[test]
+    fn lru_policy_cache_equals_production_lru_over_geometries() {
+        check("policy::lru_equivalence_over_geometries", 48, |g| {
+            let assoc = g.usize_in(1..17);
+            let sets = *g.choose(&[1u64, 2, 8, 64]);
+            let line = *g.choose(&[64u64, 128]);
+            let set_bytes = sets * assoc as u64 * line;
+            let size = set_bytes + g.u64_in(0..set_bytes);
+            let active = g.subset(sets as usize, 1..5);
+            // Per active set, its lines from MRU to LRU.
+            let mut stacks = vec![Vec::<u64>::new(); active.len()];
+            let mut fresh = 0u64;
+            let mut hit_at = vec![false; assoc];
+            let mut addrs = Vec::new();
+            for _ in 0..64 * assoc {
+                let s = g.usize_in(0..active.len());
+                let stack = &mut stacks[s];
+                let depth = g.usize_in(0..assoc + 3);
+                let tag = if depth < stack.len() {
+                    if depth < assoc {
+                        hit_at[depth] = true;
+                    }
+                    stack.remove(depth)
+                } else {
+                    fresh += 1;
+                    fresh
+                };
+                stack.insert(0, tag);
+                let line_no = tag * sets + active[s] as u64;
+                addrs.push(line_no * line + g.u64_in(0..line));
+            }
+            ensure!(hit_at.iter().all(|&h| h), "a way position was never hit");
+            ensure!(lru_matches_cachesim(size, line as u32, assoc as u32, &addrs));
+            Ok(())
+        });
+    }
+
     #[test]
     fn lru_cliff_vs_fifo_rolloff() {
         // Cyclic sweep at 2x capacity: LRU misses everything; FIFO also

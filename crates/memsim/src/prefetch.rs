@@ -10,6 +10,7 @@
 //! on or off — validating the benchmark design the paper inherited.
 
 use crate::cache::Hierarchy;
+use crate::lats::{chase_line_bytes, sattolo};
 use pvc_arch::Partition;
 
 /// A stride prefetcher tracking up to `streams` concurrent access
@@ -74,27 +75,13 @@ pub fn chase_with_prefetcher(
     sequential: bool,
     prefetcher: bool,
 ) -> f64 {
-    let line = partition.caches.first().map_or(64, |c| c.line_bytes) as u64;
+    let line = chase_line_bytes(partition);
     let slots = (footprint_bytes / line).max(2);
     let order: Vec<u64> = if sequential {
         (0..slots).collect()
     } else {
         // Sattolo ring flattened to a visit order.
-        let mut items: Vec<u64> = (0..slots).collect();
-        let mut state = 0x9E3779B97F4A7C15u64 ^ slots;
-        let mut rng = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut i = slots as usize;
-        while i > 1 {
-            i -= 1;
-            let j = (rng() % i as u64) as usize;
-            items.swap(i, j);
-        }
-        items
+        sattolo(slots).into_iter().map(u64::from).collect()
     };
 
     let mut h = Hierarchy::for_partition(partition);

@@ -6,7 +6,8 @@
 //! pattern (single dependent chain, Sattolo ring).
 
 use pvc_arch::{GpuModel, System};
-use pvc_memsim::{latency_profile, LatencyPoint, LatsConfig};
+use pvc_memsim::lats::chase_line_bytes;
+use pvc_memsim::{latency_profile, ChaseCycle, ChaseKey, LatencyPoint, LatsConfig};
 
 /// One architecture's Figure 1 series.
 #[derive(Debug, Clone)]
@@ -25,7 +26,9 @@ fn gpu_for(system: System) -> GpuModel {
     system.node().gpu
 }
 
-/// Default sweep: 32 KiB – 1 GiB, 2 points/octave (Figure 1's x-range).
+/// Default sweep: 32 KiB up to at most 1 GiB, 2 points/octave (Figure
+/// 1's x-range). The √2 float walk ends at 759 250 124 B, see
+/// [`LatsConfig::footprints`].
 pub fn default_config() -> LatsConfig {
     LatsConfig {
         min_bytes: 32 * 1024,
@@ -39,6 +42,10 @@ pub fn default_config() -> LatsConfig {
 pub fn run(system: System, cfg: &LatsConfig) -> LatsSeries {
     let gpu = gpu_for(system);
     let points = latency_profile(&gpu, cfg);
+    series(system, &gpu, points)
+}
+
+fn series(system: System, gpu: &GpuModel, points: Vec<LatencyPoint>) -> LatsSeries {
     let mut plateaus: Vec<f64> = gpu
         .partition
         .caches
@@ -53,11 +60,71 @@ pub fn run(system: System, cfg: &LatsConfig) -> LatsSeries {
     }
 }
 
-/// All four Figure 1 series (Aurora, Dawn, H100, MI250). Each system's
-/// sweep is independent, so they fan out over `pvc_core::par`;
-/// `map_collect` keeps the legend order (and so the CSV) unchanged.
+/// All four Figure 1 series (Aurora, Dawn, H100, MI250), each equal to
+/// [`run`] on its system.
+///
+/// Systems whose hierarchies have the same [`ChaseKey`] (Aurora and Dawn
+/// differ only in compute units) are chased once. The work fans out over
+/// `pvc_core::par` as one task per (line size, footprint), largest
+/// footprints first: each task builds the footprint's [`ChaseCycle`]
+/// once and chases every distinct hierarchy with that line size through
+/// it. Results are merged by index, so the legend order, the points and
+/// the CSV do not depend on the thread count.
 pub fn figure1(cfg: &LatsConfig) -> Vec<LatsSeries> {
-    pvc_core::par::map_collect(System::ALL.len(), |i| run(System::ALL[i], cfg))
+    let gpus: Vec<GpuModel> = System::ALL.iter().map(|&s| gpu_for(s)).collect();
+    // One representative system per distinct hierarchy.
+    let mut hierarchies: Vec<(ChaseKey, &GpuModel)> = Vec::new();
+    let hierarchy_of: Vec<usize> = gpus
+        .iter()
+        .map(|gpu| {
+            let key = ChaseKey::of(&gpu.partition);
+            hierarchies.iter().position(|(k, _)| *k == key).unwrap_or_else(|| {
+                hierarchies.push((key, gpu));
+                hierarchies.len() - 1
+            })
+        })
+        .collect();
+    let line_of = |gpu: &GpuModel| chase_line_bytes(&gpu.partition);
+    let mut lines: Vec<u64> = hierarchies.iter().map(|(_, gpu)| line_of(gpu)).collect();
+    lines.sort_unstable();
+    lines.dedup();
+
+    let footprints = cfg.footprints();
+    let tasks: Vec<(u64, usize)> = (0..footprints.len())
+        .rev()
+        .flat_map(|f| lines.iter().map(move |&line| (line, f)))
+        .collect();
+    let chased = pvc_core::par::map_collect(tasks.len(), |t| {
+        let (line, f) = tasks[t];
+        let cycle = ChaseCycle::new(footprints[f], line);
+        hierarchies
+            .iter()
+            .enumerate()
+            .filter(|(_, (_, gpu))| line_of(gpu) == line)
+            .map(|(h, (_, gpu))| (h, cycle.chase(&gpu.partition, cfg.steps)))
+            .collect::<Vec<_>>()
+    });
+    let mut cycles = vec![vec![0.0; footprints.len()]; hierarchies.len()];
+    for (&(_, f), results) in tasks.iter().zip(chased) {
+        for (h, c) in results {
+            cycles[h][f] = c;
+        }
+    }
+
+    System::ALL
+        .iter()
+        .zip(&gpus)
+        .zip(hierarchy_of)
+        .map(|((&system, gpu), h)| {
+            let clock_hz = gpu.clock.max_hz();
+            let points = footprints
+                .iter()
+                .zip(&cycles[h])
+                .map(|(&bytes, &c)| LatencyPoint::new(bytes, c, clock_hz))
+                .collect();
+            series(system, gpu, points)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -78,6 +145,24 @@ mod tests {
         let series = figure1(&quick_cfg());
         assert_eq!(series.len(), 4);
         assert!(series.iter().all(|s| !s.points.is_empty()));
+    }
+
+    #[test]
+    fn figure1_equals_per_system_runs_bitwise() {
+        // Deduplicated hierarchies and the (line, footprint) fan-out are
+        // invisible: every series equals its system's own sweep.
+        let cfg = quick_cfg();
+        for (series, system) in figure1(&cfg).iter().zip(System::ALL) {
+            let alone = run(system, &cfg);
+            assert_eq!(series.label, alone.label);
+            assert_eq!(series.plateaus, alone.plateaus);
+            assert_eq!(series.points.len(), alone.points.len());
+            for (a, b) in series.points.iter().zip(&alone.points) {
+                assert_eq!(a.footprint_bytes, b.footprint_bytes);
+                assert_eq!(a.cycles.to_bits(), b.cycles.to_bits(), "{}", series.label);
+                assert_eq!(a.nanos.to_bits(), b.nanos.to_bits(), "{}", series.label);
+            }
+        }
     }
 
     #[test]

@@ -228,6 +228,19 @@ mod tests {
         assert!(csv.lines().count() > 5);
     }
 
+    /// Pins the default Figure 1 CSV (`reproduce fig1`, the `figure`
+    /// request's payload) to its bytes from before the chase walked a
+    /// flat cycle order and `figure1` deduplicated hierarchies: the
+    /// digest and length were taken from the output of the successor-
+    /// table implementation. Any change to the simulated cycles shows
+    /// up here.
+    #[test]
+    fn default_figure1_csv_bytes_are_pinned() {
+        let csv = figure1_csv(&LatsConfig::default());
+        assert_eq!(csv.len(), 1059);
+        assert_eq!(pvc_store::fnv1a64(csv.as_bytes()), 0x05b2_bcde_d80f_996a);
+    }
+
     #[test]
     fn ascii_charts_render_with_markers() {
         let s = render_figures_ascii();
