@@ -13,6 +13,9 @@ run() {
   "$@"
 }
 
+# The `reproduce` binary gate 1 builds; every later gate runs it.
+reproduce="${CARGO_TARGET_DIR:-target}/release/reproduce"
+
 # 1. Release build of every crate, example and bench target.
 run cargo build --offline --release --workspace --examples --benches
 
@@ -25,8 +28,8 @@ run cargo clippy --offline --workspace --all-targets -- -D warnings
 # 4. Golden conformance: every published value reproduced in tolerance
 #    (exits nonzero on any failing expectation), then the experiment
 #    record gate (every compared cell < 8%).
-run cargo run --offline --release -p pvc-report --bin reproduce conformance > /dev/null
-run cargo run --offline --release -p pvc-report --bin reproduce validate
+run "$reproduce" conformance > /dev/null
+run "$reproduce" validate
 
 # 5. The cheap examples really run.
 run cargo run --offline --release --example quickstart > /dev/null
@@ -37,10 +40,8 @@ run cargo run --offline --release --example device_query > /dev/null
 #    the JSON parses and traceEvents is non-empty before writing).
 profile_dir="$(mktemp -d)"
 trap 'rm -rf "$profile_dir"' EXIT
-run cargo run --offline --release -p pvc-report --bin reproduce \
-  profile pcie-h2d "$profile_dir/a.json" > /dev/null
-run cargo run --offline --release -p pvc-report --bin reproduce \
-  profile pcie-h2d "$profile_dir/b.json" > /dev/null
+run "$reproduce" profile pcie-h2d "$profile_dir/a.json" > /dev/null
+run "$reproduce" profile pcie-h2d "$profile_dir/b.json" > /dev/null
 test -s "$profile_dir/a.json"
 run cmp "$profile_dir/a.json" "$profile_dir/b.json"
 
@@ -53,23 +54,19 @@ trap 'rm -rf "$profile_dir" "$serve_dir"' EXIT
 printf '{"kind":"table","id":2}' > "$serve_dir/r1.json"
 printf '{"kind":"figure","id":3}' > "$serve_dir/r2.json"
 printf '{"kind":"pcie","system":"aurora","modes":["h2d","d2h"]}' > "$serve_dir/r3.json"
-run cargo run --offline --release -p pvc-report --bin reproduce \
-  query "$serve_dir/r1.json" "$serve_dir/r2.json" "$serve_dir/r3.json" \
+run "$reproduce" query "$serve_dir/r1.json" "$serve_dir/r2.json" "$serve_dir/r3.json" \
   > "$serve_dir/a.out" 2> /dev/null
-run cargo run --offline --release -p pvc-report --bin reproduce \
-  query "$serve_dir/r1.json" "$serve_dir/r2.json" "$serve_dir/r3.json" \
+run "$reproduce" query "$serve_dir/r1.json" "$serve_dir/r2.json" "$serve_dir/r3.json" \
   > "$serve_dir/b.out" 2> /dev/null
 test -s "$serve_dir/a.out"
 run cmp "$serve_dir/a.out" "$serve_dir/b.out"
 # Warm round: all three answered from the cache (hit counter == 3).
-cargo run --offline --release -p pvc-report --bin reproduce \
-  query --rounds 2 --stats "$serve_dir/r1.json" "$serve_dir/r2.json" "$serve_dir/r3.json" \
+"$reproduce" query --rounds 2 --stats "$serve_dir/r1.json" "$serve_dir/r2.json" "$serve_dir/r3.json" \
   > /dev/null 2> "$serve_dir/stats.txt"
 run grep -q 'counter serve.cache.hit = 3' "$serve_dir/stats.txt"
 # Overload: queue depth 1 with three distinct requests sheds two, exits 3.
 set +e
-cargo run --offline --release -p pvc-report --bin reproduce \
-  query --queue-depth 1 "$serve_dir/r1.json" "$serve_dir/r2.json" "$serve_dir/r3.json" \
+"$reproduce" query --queue-depth 1 "$serve_dir/r1.json" "$serve_dir/r2.json" "$serve_dir/r3.json" \
   > "$serve_dir/overload.out" 2> /dev/null
 overload_rc=$?
 set -e
@@ -79,14 +76,12 @@ run grep -q '"kind": "overloaded"' "$serve_dir/overload.out"
 # 8. Scenario registry: `reproduce list` enumerates the full grid (61
 #    standard pairs + the figure pipeline on both PVC systems = 63) with
 #    typed units, and `reproduce run` is byte-deterministic.
-run cargo run --offline --release -p pvc-report --bin reproduce list > "$serve_dir/list.out"
+run "$reproduce" list > "$serve_dir/list.out"
 run grep -q '^63 scenarios registered$' "$serve_dir/list.out"
 run grep -q 'stream-triad@aurora' "$serve_dir/list.out"
 run grep -q 'GB/s' "$serve_dir/list.out"
-run cargo run --offline --release -p pvc-report --bin reproduce \
-  run stream-triad aurora > "$serve_dir/run-a.out"
-run cargo run --offline --release -p pvc-report --bin reproduce \
-  run stream-triad aurora > "$serve_dir/run-b.out"
+run "$reproduce" run stream-triad aurora > "$serve_dir/run-a.out"
+run "$reproduce" run stream-triad aurora > "$serve_dir/run-b.out"
 test -s "$serve_dir/run-a.out"
 run cmp "$serve_dir/run-a.out" "$serve_dir/run-b.out"
 
@@ -110,17 +105,13 @@ run grep -q '"name": "serve/allocate_1k_flows"' "$serve_dir/BENCH_serve.json"
 run cargo test --offline --release -q --test chaos_properties
 printf '{"kind":"run","workload":"stream-triad","system":"aurora","chaos":"hbm:0.5"}' \
   > "$serve_dir/chaos.json"
-run cargo run --offline --release -p pvc-report --bin reproduce \
-  query "$serve_dir/chaos.json" > "$serve_dir/chaos-a.out" 2> /dev/null
-run cargo run --offline --release -p pvc-report --bin reproduce \
-  query "$serve_dir/chaos.json" > "$serve_dir/chaos-b.out" 2> /dev/null
+run "$reproduce" query "$serve_dir/chaos.json" > "$serve_dir/chaos-a.out" 2> /dev/null
+run "$reproduce" query "$serve_dir/chaos.json" > "$serve_dir/chaos-b.out" 2> /dev/null
 test -s "$serve_dir/chaos-a.out"
 run cmp "$serve_dir/chaos-a.out" "$serve_dir/chaos-b.out"
 run grep -q '"chaos": "hbm:0.5"' "$serve_dir/chaos-a.out"
-run cargo run --offline --release -p pvc-report --bin reproduce \
-  chaos allreduce aurora xelink:0:0.3 > "$serve_dir/delta-a.out"
-run cargo run --offline --release -p pvc-report --bin reproduce \
-  chaos allreduce aurora xelink:0:0.3 > "$serve_dir/delta-b.out"
+run "$reproduce" chaos allreduce aurora xelink:0:0.3 > "$serve_dir/delta-a.out"
+run "$reproduce" chaos allreduce aurora xelink:0:0.3 > "$serve_dir/delta-b.out"
 run cmp "$serve_dir/delta-a.out" "$serve_dir/delta-b.out"
 run grep -q 'delta:' "$serve_dir/delta-a.out"
 
@@ -131,11 +122,9 @@ run grep -q 'delta:' "$serve_dir/delta-a.out"
 #     exposition text with `serve.requests` matching the batch size.
 printf '[{"kind":"table","id":2},{"kind":"figure","id":3},{"kind":"pcie","system":"aurora","modes":["h2d","d2h"]}]\n{"kind":"stats"}\n' \
   > "$serve_dir/session.txt"
-cargo run --offline --release -p pvc-report --bin reproduce \
-  serve --access-log "$serve_dir/tele-a.log" \
+"$reproduce" serve --access-log "$serve_dir/tele-a.log" \
   < "$serve_dir/session.txt" > "$serve_dir/tele-a.out" 2> /dev/null
-cargo run --offline --release -p pvc-report --bin reproduce \
-  serve --access-log "$serve_dir/tele-b.log" \
+"$reproduce" serve --access-log "$serve_dir/tele-b.log" \
   < "$serve_dir/session.txt" > "$serve_dir/tele-b.out" 2> /dev/null
 test -s "$serve_dir/tele-a.out"
 test -s "$serve_dir/tele-a.log"
@@ -146,10 +135,8 @@ run grep -q '"serve.requests":4' "$serve_dir/tele-a.out"
 run grep -q '"outcome":"stats"' "$serve_dir/tele-a.log"
 run grep -q '"outcome":"miss"' "$serve_dir/tele-a.log"
 # Offline rendering: canned batch (4 requests), double-run identical.
-cargo run --offline --release -p pvc-report --bin reproduce \
-  stats > "$serve_dir/stats-a.out" 2> /dev/null
-cargo run --offline --release -p pvc-report --bin reproduce \
-  stats > "$serve_dir/stats-b.out" 2> /dev/null
+"$reproduce" stats > "$serve_dir/stats-a.out" 2> /dev/null
+"$reproduce" stats > "$serve_dir/stats-b.out" 2> /dev/null
 test -s "$serve_dir/stats-a.out"
 run cmp "$serve_dir/stats-a.out" "$serve_dir/stats-b.out"
 run grep -q '^serve_requests 4$' "$serve_dir/stats-a.out"
@@ -165,29 +152,25 @@ run grep -q '^serve.cost.table ' "$serve_dir/stats-a.out"
 #     salt hook invalidates the store instead of serving stale bytes.
 store_dir="$(mktemp -d)"
 trap 'rm -rf "$profile_dir" "$serve_dir" "$store_dir"' EXIT
-run cargo run --offline --release -p pvc-report --bin reproduce \
-  warm --store "$store_dir/a.store" > /dev/null 2>&1
-run cargo run --offline --release -p pvc-report --bin reproduce \
-  warm --store "$store_dir/b.store" > /dev/null 2>&1
+run "$reproduce" warm --store "$store_dir/a.store" > /dev/null 2>&1
+run "$reproduce" warm --store "$store_dir/b.store" > /dev/null 2>&1
 test -s "$store_dir/a.store"
 run cmp "$store_dir/a.store" "$store_dir/b.store"
 # Verify round: every corpus request is a store hit, zero cold computes
 # (the verb exits 1 unless serve.store.hit == corpus and cache.miss == 0).
-run cargo run --offline --release -p pvc-report --bin reproduce \
-  warm --store "$store_dir/a.store" --verify > "$store_dir/verify.out" 2>&1
+run "$reproduce" warm --store "$store_dir/a.store" --verify > "$store_dir/verify.out" 2>&1
 run grep -q 'verify ok' "$store_dir/verify.out"
 # A fresh process replaying the canned batch (chaos request included)
 # against the warmed store serves everything from disk: 4 store hits,
 # no cache misses, and the bytes equal the computed run from gate 7.
-cargo run --offline --release -p pvc-report --bin reproduce \
-  query --stats --store "$store_dir/a.store" \
+"$reproduce" query --stats --store "$store_dir/a.store" \
   "$serve_dir/r1.json" "$serve_dir/r2.json" "$serve_dir/r3.json" "$serve_dir/chaos.json" \
   > "$store_dir/warmq.out" 2> "$store_dir/warmq.stats"
 run grep -q 'counter serve.store.hit = 4' "$store_dir/warmq.stats"
 if grep -q 'counter serve.cache.miss' "$store_dir/warmq.stats"; then
   echo "ci: warmed store still computed cold" >&2; exit 1
 fi
-cargo run --offline --release -p pvc-report --bin reproduce \
+"$reproduce" \
   query "$serve_dir/r1.json" "$serve_dir/r2.json" "$serve_dir/r3.json" "$serve_dir/chaos.json" \
   > "$store_dir/coldq.out" 2> /dev/null
 run cmp "$store_dir/warmq.out" "$store_dir/coldq.out"
@@ -195,8 +178,7 @@ run cmp "$store_dir/warmq.out" "$store_dir/coldq.out"
 # opens as stale and rewarms from scratch (on a copy, exercised end to
 # end by the verb's own output).
 cp "$store_dir/a.store" "$store_dir/salted.store"
-run env PVC_STORE_FINGERPRINT_SALT=ci-model-change \
-  cargo run --offline --release -p pvc-report --bin reproduce \
+run env PVC_STORE_FINGERPRINT_SALT=ci-model-change "$reproduce" \
   warm --store "$store_dir/salted.store" > "$store_dir/salted.out" 2>&1
 run grep -q 'fingerprint mismatch, store reset' "$store_dir/salted.out"
 
@@ -216,12 +198,10 @@ trap cleanup EXIT
 printf '[{"kind":"table","id":2},{"kind":"figure","id":3},{"kind":"pcie","system":"aurora","modes":["h2d","d2h"]}]' \
   > "$http_dir/batch.json"
 # Reference bytes: the same batch line through the stdin frontend.
-{ cat "$http_dir/batch.json"; echo; } | cargo run --offline --release \
-  -p pvc-report --bin reproduce serve > "$http_dir/stdin.out" 2> /dev/null
+{ cat "$http_dir/batch.json"; echo; } | "$reproduce" serve > "$http_dir/stdin.out" 2> /dev/null
 boot_http() {  # boot_http <logfile> <extra flags...>; sets http_pid and http_addr
   local log="$1"; shift
-  cargo run --offline --release -p pvc-report --bin reproduce \
-    serve --http 127.0.0.1:0 "$@" 2> "$log" &
+  "$reproduce" serve --http 127.0.0.1:0 "$@" 2> "$log" &
   http_pid=$!
   for _ in $(seq 1 100); do
     grep -q 'serving http on ' "$log" && break
@@ -258,12 +238,9 @@ http_pid=""
 #     print the same bytes.
 fig1_dir="$http_dir/fig1"
 mkdir -p "$fig1_dir"
-PVC_THREADS=1 cargo run --offline --release -p pvc-report --bin reproduce \
-  fig1 > "$fig1_dir/t1.csv"
-cargo run --offline --release -p pvc-report --bin reproduce \
-  fig1 > "$fig1_dir/default.csv"
-PVC_THREADS=3 cargo run --offline --release -p pvc-report --bin reproduce \
-  fig1 > "$fig1_dir/t3.csv"
+PVC_THREADS=1 "$reproduce" fig1 > "$fig1_dir/t1.csv"
+"$reproduce" fig1 > "$fig1_dir/default.csv"
+PVC_THREADS=3 "$reproduce" fig1 > "$fig1_dir/t3.csv"
 test -s "$fig1_dir/t1.csv"
 run cmp "$fig1_dir/t1.csv" "$fig1_dir/default.csv"
 run cmp "$fig1_dir/t1.csv" "$fig1_dir/t3.csv"

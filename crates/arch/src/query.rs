@@ -179,13 +179,14 @@ impl NodeSummary {
     }
 }
 
-/// JSON dump of all four systems.
+/// The summaries of all four systems, as one JSON array.
+pub fn systems() -> Json {
+    Json::Arr(System::ALL.iter().map(|s| summarise_node(&s.node()).to_json()).collect())
+}
+
+/// [`systems`], pretty-printed.
 pub fn systems_json() -> String {
-    let all: Vec<Json> = System::ALL
-        .iter()
-        .map(|s| summarise_node(&s.node()).to_json())
-        .collect();
-    Json::Arr(all).pretty()
+    systems().pretty()
 }
 
 #[cfg(test)]

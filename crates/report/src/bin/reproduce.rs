@@ -2,16 +2,25 @@
 //!
 //! Usage:
 //! ```text
-//! reproduce [table1..table6|fig1..fig4|experiments|json|conformance|validate|all]
-//! reproduce list
+//! reproduce [table1..table6|fig1..fig4|scaling|ablations|devices|json|all]
+//! reproduce [experiments|charts|rooflines|energy|fabric|conformance|validate|list]
+//! reproduce csv [dir]
 //! reproduce run <workload> <system>
 //! reproduce chaos <workload> <system> <spec>
 //! reproduce profile <workload> [outfile]
 //! reproduce query [--stats] [--rounds N] [--queue-depth N] [--cache-cap N] [--store PATH] [--access-log PATH] <request.json>...
-//! reproduce serve [--queue-depth N] [--cache-cap N] [--store PATH] [--http ADDR] [--access-log PATH]
-//! reproduce stats [--rounds N] [--queue-depth N] [--cache-cap N] [--store PATH] [request.json...]
+//! reproduce serve [--stats] [--queue-depth N] [--cache-cap N] [--store PATH] [--http ADDR] [--access-log PATH]
+//! reproduce stats [--rounds N] [--queue-depth N] [--cache-cap N] [--store PATH] [--access-log PATH] [request.json...]
 //! reproduce warm [--store PATH] [--chaos] [--verify]
 //! ```
+//! The artifact verbs (`table1`…`table6`, `fig1`…`fig4`, `scaling`,
+//! `ablations`, `devices`, `json`, and the tables and figures `all`
+//! prints) are catalog requests: each looks its rows up in
+//! [`pvc_report::serve::ARTIFACTS`] and serves them through one
+//! catalog service, so they print exactly what `query` and `serve`
+//! answer. `all` adds Figure 1 at a coarse sweep and the experiment
+//! record.
+//!
 //! `list` prints the full scenario grid — every registered
 //! workload × system pair with its figure-of-merit unit and paper
 //! citation. `run` executes one scenario and prints its typed outcome.
@@ -34,7 +43,8 @@
 //! instead (keep-alive, `/metrics`, `/stats`, `POST /query` with
 //! stdin-identical bytes — see `pvc_report::httpfront`). Both frontends
 //! honour the reserved `{"kind":"shutdown"}` request (or
-//! `POST /shutdown`) for a graceful exit.
+//! `POST /shutdown`) for a graceful exit. Each verb accepts only the
+//! flags its usage line names; any other flag is a usage error (exit 2).
 //!
 //! Both frontends run with telemetry attached (a 64-entry flight
 //! recorder), so a `{"kind":"stats"}` request answers with the live
@@ -61,8 +71,8 @@
 //! detected at open and reset automatically.
 
 use pvc_memsim::LatsConfig;
-use pvc_report::serve::{CatalogExecutor, CANNED_REQUESTS};
-use pvc_report::{experiments, figdata, tables};
+use pvc_report::serve::{serve_artifacts, Artifact, CatalogExecutor, ARTIFACTS, CANNED_REQUESTS};
+use pvc_report::{experiments, figdata};
 use pvc_serve::{Request, ServeConfig, Service, Telemetry};
 use std::io::{BufRead, Write};
 
@@ -71,36 +81,27 @@ fn main() {
     let what = args.first().map(String::as_str).unwrap_or("all");
     let mut out = String::new();
 
-    let fig1_cfg = LatsConfig::default();
-    match what {
-        "table1" => out.push_str(&tables::render_table1()),
-        "table2" => out.push_str(&tables::render_table2()),
-        "table3" => out.push_str(&tables::render_table3()),
-        "table4" => out.push_str(&tables::render_table4()),
-        "table5" => out.push_str(&tables::render_table5()),
-        "table6" => out.push_str(&tables::render_table6()),
-        "fig1" => out.push_str(&figdata::figure1_csv(&fig1_cfg)),
-        "fig2" => out.push_str(&figdata::render_figure2()),
-        "fig3" => out.push_str(&figdata::render_figure3()),
-        "fig4" => out.push_str(&figdata::render_figure4()),
-        "charts" => out.push_str(&figdata::render_figures_ascii()),
-        "experiments" => out.push_str(&experiments::markdown()),
-        "json" => out.push_str(&experiments::json()),
-        "rooflines" => out.push_str(&tables::render_rooflines()),
-        "ablations" => {
-            for t in [
-                pvc_report::ablations::governor_ablation(),
-                pvc_report::ablations::pcie_ablation(),
-                pvc_report::ablations::congestion_ablation(),
-                pvc_report::ablations::plane_ablation(),
-            ] {
-                out.push_str(&t.render());
+    // An artifact verb prints its row; a verb naming several rows
+    // (`ablations`) prints each followed by a blank line.
+    let rows: Vec<&Artifact> = ARTIFACTS.iter().filter(|a| a.verb == Some(what)).collect();
+    if !rows.is_empty() {
+        let printed = served_or_exit(&rows);
+        if let [one] = printed.as_slice() {
+            out.push_str(one);
+        } else {
+            for p in printed {
+                out.push_str(&p);
                 out.push('\n');
             }
         }
-        "scaling" => out.push_str(&pvc_report::ablations::scaling_report().render()),
+        print!("{out}");
+        return;
+    }
+    match what {
+        "charts" => out.push_str(&figdata::render_figures_ascii()),
+        "experiments" => out.push_str(&experiments::markdown()),
+        "rooflines" => out.push_str(&pvc_report::tables::render_rooflines()),
         "energy" => out.push_str(&pvc_report::energy::render_energy_table()),
-        "devices" => out.push_str(&pvc_arch::query::systems_json()),
         "csv" => {
             let dir = args
                 .get(1)
@@ -186,20 +187,8 @@ fn main() {
                 eprintln!("see `reproduce list` for the registered pairs");
                 std::process::exit(2);
             };
-            let system: pvc_arch::System = match system.parse() {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-            };
-            let outcome = match pvc_report::scenarios::registry().run(workload, system) {
-                Ok(o) => o,
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-            };
+            let system: pvc_arch::System = or_usage(system.parse());
+            let outcome = or_usage(pvc_report::scenarios::registry().run(workload, system));
             let scenario = pvc_report::scenarios::registry()
                 .get(workload, system)
                 .expect("scenario just ran");
@@ -225,13 +214,7 @@ fn main() {
                 }
                 std::process::exit(2);
             };
-            let system: pvc_arch::System = match system.parse() {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-            };
+            let system: pvc_arch::System = or_usage(system.parse());
             let spec = match spec.parse::<pvc_scenario::ChaosSpec>() {
                 Ok(s) => s,
                 Err(e) => {
@@ -244,13 +227,7 @@ fn main() {
                 }
             };
             let reg = pvc_report::scenarios::registry();
-            let run = match pvc_scenario::run_with_chaos(reg, workload, system, &spec) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-            };
+            let run = or_usage(pvc_scenario::run_with_chaos(reg, workload, system, &spec));
             let dir = if run.baseline.fom.kind().higher_is_better() {
                 "higher is better"
             } else {
@@ -297,13 +274,7 @@ fn main() {
                 }
                 std::process::exit(2);
             };
-            let artifact = match pvc_report::profile::run(workload, pvc_arch::System::Aurora) {
-                Ok(a) => a,
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-            };
+            let artifact = or_usage(pvc_report::profile::run(workload, pvc_arch::System::Aurora));
             let events = match artifact.validate() {
                 Ok(n) => n,
                 Err(e) => {
@@ -346,18 +317,14 @@ fn main() {
             }
         },
         "all" => {
-            for s in [
-                tables::render_table1(),
-                tables::render_table2(),
-                tables::render_table3(),
-                tables::render_table4(),
-                tables::render_table5(),
-                tables::render_table6(),
-                figdata::render_figure2(),
-                figdata::render_figure3(),
-                figdata::render_figure4(),
-            ] {
-                out.push_str(&s);
+            // Every table and figure row; Figure 1 follows at its
+            // coarse sweep.
+            let rows: Vec<&Artifact> = ARTIFACTS
+                .iter()
+                .filter(|a| matches!(a.kind, "table" | "figure") && a.verb != Some("fig1"))
+                .collect();
+            for p in served_or_exit(&rows) {
+                out.push_str(&p);
                 out.push('\n');
             }
             out.push_str("Figure 1 (CSV):\n");
@@ -372,7 +339,7 @@ fn main() {
         }
         other => {
             eprintln!(
-                "unknown target '{other}'; expected table1..table6, fig1..fig4, experiments, json, conformance, validate, rooflines, ablations, scaling, list, run <workload> <system>, chaos <workload> <system> <spec>, profile <workload>, query <request.json>.., serve, stats, warm or all"
+                "unknown target '{other}'; expected table1..table6, fig1..fig4, scaling, ablations, devices, json, experiments, charts, rooflines, energy, fabric, csv [dir], conformance, validate, list, run <workload> <system>, chaos <workload> <system> <spec>, profile <workload> [outfile], query <request.json>.., serve, stats, warm or all"
             );
             std::process::exit(2);
         }
@@ -380,104 +347,122 @@ fn main() {
     print!("{out}");
 }
 
-/// Service knobs shared by the `query` and `serve` frontends.
+/// The value, or the error on stderr and exit 2 (a usage error).
+fn or_usage<T, E: std::fmt::Display>(r: Result<T, E>) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
+}
+
+/// Serves artifact rows through the catalog and returns what each
+/// prints; an error envelope goes to stderr with exit 1.
+fn served_or_exit(rows: &[&Artifact]) -> Vec<String> {
+    serve_artifacts(rows).unwrap_or_else(|envelope| {
+        eprintln!("{envelope}");
+        std::process::exit(1);
+    })
+}
+
+/// The flags of the serving verbs (`query`, `serve`, `stats`, `warm`).
+#[derive(Default)]
 struct ServeFlags {
     cfg: ServeConfig,
     stats: bool,
     rounds: usize,
+    chaos: bool,
+    verify: bool,
     http: Option<String>,
     access_log: Option<String>,
     store: Option<String>,
     files: Vec<String>,
 }
 
-fn parse_serve_flags(args: &[String]) -> Result<ServeFlags, String> {
-    let mut f = ServeFlags {
-        cfg: ServeConfig::default(),
-        stats: false,
-        rounds: 1,
-        http: None,
-        access_log: None,
-        store: None,
-        files: Vec::new(),
-    };
+const QUERY_USAGE: &str = "usage: reproduce query [--stats] [--rounds N] [--queue-depth N] [--cache-cap N] [--store PATH] [--access-log PATH] <request.json>...";
+const SERVE_USAGE: &str = "usage: reproduce serve [--stats] [--queue-depth N] [--cache-cap N] [--store PATH] [--http ADDR] [--access-log PATH]";
+const STATS_USAGE: &str = "usage: reproduce stats [--rounds N] [--queue-depth N] [--cache-cap N] [--store PATH] [--access-log PATH] [request.json...]";
+const WARM_USAGE: &str = "usage: reproduce warm [--store PATH] [--chaos] [--verify]";
+
+/// Parses a serving verb's arguments. A flag is accepted only when the
+/// verb's `usage` line names it, and request files only when it names
+/// `request.json`, so every argument parsed is one the verb reads. A
+/// usage error prints the reason and the usage line and exits 2.
+fn serve_flags(args: &[String], usage: &str) -> ServeFlags {
+    parse_serve_flags(args, usage).unwrap_or_else(|e| {
+        eprintln!("{e}\n{usage}");
+        std::process::exit(2);
+    })
+}
+
+fn parse_serve_flags(args: &[String], usage: &str) -> Result<ServeFlags, String> {
+    let mut f = ServeFlags::default();
     fn num(it: &mut std::slice::Iter<'_, String>, name: &str) -> Result<usize, String> {
         it.next()
             .ok_or_else(|| format!("{name} needs a value"))?
             .parse::<usize>()
             .map_err(|_| format!("{name} needs an unsigned integer"))
     }
+    fn value(it: &mut std::slice::Iter<'_, String>, what: &str) -> Result<Option<String>, String> {
+        Ok(Some(it.next().ok_or(what)?.clone()))
+    }
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        let named = usage.split([' ', '[', ']']).any(|t| t == a);
         match a.as_str() {
+            flag if flag.starts_with("--") && !named => {
+                return Err(format!("unknown flag '{flag}'"))
+            }
             "--stats" => f.stats = true,
-            "--rounds" => f.rounds = num(&mut it, "--rounds")?.max(1),
+            "--rounds" => f.rounds = num(&mut it, "--rounds")?,
             "--queue-depth" => f.cfg.queue_depth = num(&mut it, "--queue-depth")?,
             "--cache-cap" => f.cfg.cache_capacity = num(&mut it, "--cache-cap")?,
-            "--budget" => f.cfg.default_budget = num(&mut it, "--budget")? as u64,
-            "--http" => {
-                f.http = Some(
-                    it.next().ok_or("--http needs an address")?.clone(),
-                )
-            }
-            "--access-log" => {
-                f.access_log = Some(
-                    it.next().ok_or("--access-log needs a path")?.clone(),
-                )
-            }
-            "--store" => {
-                f.store = Some(
-                    it.next().ok_or("--store needs a path")?.clone(),
-                )
-            }
-            other if other.starts_with("--") => {
-                return Err(format!("unknown flag '{other}'"))
-            }
-            path => f.files.push(path.to_string()),
+            "--chaos" => f.chaos = true,
+            "--verify" => f.verify = true,
+            "--http" => f.http = value(&mut it, "--http needs an address")?,
+            "--access-log" => f.access_log = value(&mut it, "--access-log needs a path")?,
+            "--store" => f.store = value(&mut it, "--store needs a path")?,
+            path if usage.contains("request.json") => f.files.push(path.to_string()),
+            other => return Err(format!("unexpected argument '{other}'")),
         }
     }
     Ok(f)
+}
+
+/// Reads each request file; an unreadable file is reported on stderr.
+fn read_requests(files: &[String]) -> Option<Vec<String>> {
+    files
+        .iter()
+        .map(|path| {
+            std::fs::read_to_string(path)
+                .map_err(|e| eprintln!("failed to read {path}: {e}"))
+                .ok()
+        })
+        .collect()
 }
 
 /// `reproduce query`: one-shot batch, canonical envelopes on stdout.
 /// Exit 0 when every envelope carries a result, 3 when any was
 /// rejected or failed, 2 on usage errors.
 fn run_query(args: &[String]) -> i32 {
-    let flags = match parse_serve_flags(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
+    let flags = serve_flags(args, QUERY_USAGE);
     if flags.files.is_empty() {
-        eprintln!("usage: reproduce query [--stats] [--rounds N] [--queue-depth N] [--cache-cap N] [--access-log PATH] <request.json>...");
+        eprintln!("{QUERY_USAGE}");
         eprintln!("each file holds one JSON request object, for example:");
         for r in CANNED_REQUESTS {
             eprintln!("  {r}");
         }
         return 2;
     }
-    let mut texts = Vec::with_capacity(flags.files.len());
-    for path in &flags.files {
-        match std::fs::read_to_string(path) {
-            Ok(t) => texts.push(t),
-            Err(e) => {
-                eprintln!("failed to read {path}: {e}");
-                return 2;
-            }
-        }
-    }
-    let mut service = new_catalog_service(flags.cfg);
-    if let Some(path) = &flags.store {
-        if !attach_catalog_store(&mut service, path) {
-            return 2;
-        }
-    }
+    let Some(texts) = read_requests(&flags.files) else {
+        return 2;
+    };
+    let Some(service) = catalog_service(&flags) else {
+        return 2;
+    };
     let mut all_ok = true;
     let stdout = std::io::stdout();
     let mut w = stdout.lock();
-    for _ in 0..flags.rounds {
+    for _ in 0..flags.rounds.max(1) {
         let batch: Vec<_> = texts.iter().map(|t| Request::parse(t)).collect();
         for envelope in service.handle_batch(batch) {
             all_ok &= envelope.get("result").is_some();
@@ -489,11 +474,8 @@ fn run_query(args: &[String]) -> i32 {
     if flags.stats {
         print_serve_stats(&service);
     }
-    if let Some(path) = &flags.access_log {
-        if let Err(e) = std::fs::write(path, service.telemetry().drain_access_log()) {
-            eprintln!("failed to write access log {path}: {e}");
-            return 1;
-        }
+    if !write_access_log(&service, &flags) {
+        return 1;
     }
     if all_ok {
         0
@@ -502,7 +484,7 @@ fn run_query(args: &[String]) -> i32 {
     }
 }
 
-/// The catalog service both frontends share: telemetry is always
+/// The catalog service the serving verbs share: telemetry is always
 /// attached (bit-non-perturbing by construction, proven by the serve
 /// test suite), so the `stats` request kind and the flight recorder
 /// work out of the box.
@@ -510,6 +492,38 @@ fn new_catalog_service(cfg: ServeConfig) -> Service<CatalogExecutor> {
     let mut service = Service::new(CatalogExecutor, cfg);
     service.set_telemetry(Telemetry::recording(64));
     service
+}
+
+/// [`new_catalog_service`] with the `--store PATH` disk tier, bound to
+/// the build fingerprint, attached below the LRU. The open outcome
+/// prints on stderr so response bytes on stdout stay untouched; `None`
+/// when the store cannot be opened.
+fn catalog_service(flags: &ServeFlags) -> Option<Service<CatalogExecutor>> {
+    let mut service = new_catalog_service(flags.cfg.clone());
+    if let Some(path) = &flags.store {
+        match pvc_store::Store::open(path, pvc_report::warm::build_fingerprint()) {
+            Ok((store, report)) => {
+                eprintln!("store {path}: {}", describe_open(&report));
+                service.attach_store(store, &report);
+            }
+            Err(e) => {
+                eprintln!("failed to open store {path}: {e}");
+                return None;
+            }
+        }
+    }
+    Some(service)
+}
+
+/// Writes the telemetry access log to `--access-log PATH`, if given;
+/// false when the write fails.
+fn write_access_log(service: &Service<CatalogExecutor>, flags: &ServeFlags) -> bool {
+    let Some(path) = &flags.access_log else {
+        return true;
+    };
+    std::fs::write(path, service.telemetry().drain_access_log())
+        .map_err(|e| eprintln!("failed to write access log {path}: {e}"))
+        .is_ok()
 }
 
 /// One line summarising what [`pvc_store::Store::open`] found on disk.
@@ -531,23 +545,6 @@ fn describe_open(report: &pvc_store::OpenReport) -> String {
     s
 }
 
-/// Opens the disk tier at `path`, bound to the build fingerprint, and
-/// attaches it below the LRU. The open outcome prints on stderr so
-/// response bytes on stdout stay untouched.
-fn attach_catalog_store(service: &mut Service<CatalogExecutor>, path: &str) -> bool {
-    match pvc_store::Store::open(path, pvc_report::warm::build_fingerprint()) {
-        Ok((store, report)) => {
-            eprintln!("store {path}: {}", describe_open(&report));
-            service.attach_store(store, &report);
-            true
-        }
-        Err(e) => {
-            eprintln!("failed to open store {path}: {e}");
-            false
-        }
-    }
-}
-
 /// `reproduce warm`: enumerate the registry's full grid and persist
 /// every response into the store, so any later frontend started with
 /// `--store` answers its first catalog query from disk. `--verify`
@@ -555,29 +552,9 @@ fn attach_catalog_store(service: &mut Service<CatalogExecutor>, path: &str) -> b
 /// back as a store hit with zero cold computes. Exit 0 on success,
 /// 1 on failed requests or a failed verify, 2 on usage errors.
 fn run_warm(args: &[String]) -> i32 {
-    let mut store_path = "pvc-store.bin".to_string();
-    let mut chaos = false;
-    let mut verify = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--store" => match it.next() {
-                Some(p) => store_path = p.clone(),
-                None => {
-                    eprintln!("--store needs a path");
-                    return 2;
-                }
-            },
-            "--chaos" => chaos = true,
-            "--verify" => verify = true,
-            other => {
-                eprintln!("unknown warm argument '{other}'");
-                eprintln!("usage: reproduce warm [--store PATH] [--chaos] [--verify]");
-                return 2;
-            }
-        }
-    }
-    let corpus = if chaos {
+    let flags = serve_flags(args, WARM_USAGE);
+    let store_path = flags.store.as_deref().unwrap_or("pvc-store.bin");
+    let corpus = if flags.chaos {
         pvc_report::warm::warm_corpus_with_chaos()
     } else {
         pvc_report::warm::warm_corpus()
@@ -588,7 +565,7 @@ fn run_warm(args: &[String]) -> i32 {
     cfg.queue_depth = cfg.queue_depth.max(corpus.len());
     let mut service = new_catalog_service(cfg);
     let (store, report) =
-        match pvc_store::Store::open(&store_path, pvc_report::warm::build_fingerprint()) {
+        match pvc_store::Store::open(store_path, pvc_report::warm::build_fingerprint()) {
             Ok(opened) => opened,
             Err(e) => {
                 eprintln!("failed to open store {store_path}: {e}");
@@ -596,7 +573,7 @@ fn run_warm(args: &[String]) -> i32 {
             }
         };
     println!("store {store_path}: {}", describe_open(&report));
-    if verify && report.status != pvc_store::OpenStatus::Loaded {
+    if flags.verify && report.status != pvc_store::OpenStatus::Loaded {
         eprintln!("verify failed: store must already be warm for this build fingerprint");
         return 1;
     }
@@ -620,7 +597,7 @@ fn run_warm(args: &[String]) -> i32 {
         eprintln!("warm failed: {failed} corpus requests did not produce a result");
         return 1;
     }
-    if verify {
+    if flags.verify {
         if hits as usize != corpus.len() || cold != 0 {
             eprintln!(
                 "verify failed: expected every request from disk (store hits {hits}/{}, cold computes {cold})",
@@ -644,10 +621,10 @@ fn print_serve_stats(service: &Service<CatalogExecutor>) {
     }
 }
 
-/// One line-delimited session: requests in, compact envelopes out. A
-/// line holding a JSON array is served as one batch and answered with
-/// one array line. When an access-log sink is attached, the telemetry
-/// log drains to it after every answered line.
+/// One line-delimited session: requests in, compact envelopes out, one
+/// line each through [`Service::handle_line`]. When an access-log sink
+/// is attached, the telemetry log drains to it after every answered
+/// line.
 fn serve_session(
     service: &Service<CatalogExecutor>,
     reader: impl BufRead,
@@ -656,23 +633,10 @@ fn serve_session(
 ) -> std::io::Result<()> {
     for line in reader.lines() {
         let line = line?;
-        let line = line.trim();
-        if line.is_empty() {
+        if line.trim().is_empty() {
             continue;
         }
-        let reply = if line.starts_with('[') {
-            let batch = match pvc_core::json::parse(line) {
-                Ok(pvc_core::Json::Arr(items)) => {
-                    items.into_iter().map(Request::from_json).collect()
-                }
-                Ok(_) => unreachable!("starts with '['"),
-                Err(e) => vec![Err(pvc_serve::ServeError::BadRequest(e.to_string()))],
-            };
-            pvc_core::Json::Arr(service.handle_batch(batch)).compact()
-        } else {
-            service.handle_lines(&[line]).remove(0).compact()
-        };
-        writeln!(writer, "{reply}")?;
+        writeln!(writer, "{}", service.handle_line(&line).compact())?;
         writer.flush()?;
         if let Some(log) = access {
             log.write_all(service.telemetry().drain_access_log().as_bytes())?;
@@ -689,17 +653,7 @@ fn serve_session(
 
 /// `reproduce serve`: long-running loop on stdin (default) or HTTP.
 fn run_serve(args: &[String]) -> i32 {
-    let flags = match parse_serve_flags(args) {
-        Ok(f) if f.files.is_empty() => f,
-        Ok(_) => {
-            eprintln!("serve takes no file arguments; pipe requests to stdin or use --http");
-            return 2;
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
+    let flags = serve_flags(args, SERVE_USAGE);
     let mut access = match &flags.access_log {
         None => None,
         Some(path) => match std::fs::File::create(path) {
@@ -710,12 +664,9 @@ fn run_serve(args: &[String]) -> i32 {
             }
         },
     };
-    let mut service = new_catalog_service(flags.cfg);
-    if let Some(path) = &flags.store {
-        if !attach_catalog_store(&mut service, path) {
-            return 2;
-        }
-    }
+    let Some(service) = catalog_service(&flags) else {
+        return 2;
+    };
     let result = match &flags.http {
         None => {
             let stdin = std::io::stdin();
@@ -761,38 +712,19 @@ fn serve_http_front(
 /// registry as Prometheus exposition text plus a quantile table — the
 /// offline twin of the `{"kind":"stats"}` request.
 fn run_stats(args: &[String]) -> i32 {
-    let flags = match parse_serve_flags(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
+    let flags = serve_flags(args, STATS_USAGE);
+    let texts = if flags.files.is_empty() {
+        CANNED_REQUESTS.iter().map(|r| r.to_string()).collect()
+    } else {
+        match read_requests(&flags.files) {
+            Some(texts) => texts,
+            None => return 2,
         }
     };
-    if flags.http.is_some() {
-        eprintln!("stats is offline; --http belongs to `reproduce serve`");
+    let Some(service) = catalog_service(&flags) else {
         return 2;
-    }
-    let mut texts: Vec<String> = Vec::new();
-    if flags.files.is_empty() {
-        texts.extend(CANNED_REQUESTS.iter().map(|r| r.to_string()));
-    } else {
-        for path in &flags.files {
-            match std::fs::read_to_string(path) {
-                Ok(t) => texts.push(t),
-                Err(e) => {
-                    eprintln!("failed to read {path}: {e}");
-                    return 2;
-                }
-            }
-        }
-    }
-    let mut service = new_catalog_service(flags.cfg);
-    if let Some(path) = &flags.store {
-        if !attach_catalog_store(&mut service, path) {
-            return 2;
-        }
-    }
-    for _ in 0..flags.rounds {
+    };
+    for _ in 0..flags.rounds.max(1) {
         let batch: Vec<_> = texts.iter().map(|t| Request::parse(t)).collect();
         service.handle_batch(batch);
     }
@@ -820,11 +752,9 @@ fn run_stats(args: &[String]) -> i32 {
         ));
     }
     print!("{out}");
-    if let Some(path) = &flags.access_log {
-        if let Err(e) = std::fs::write(path, service.telemetry().drain_access_log()) {
-            eprintln!("failed to write access log {path}: {e}");
-            return 1;
-        }
+    if write_access_log(&service, &flags) {
+        0
+    } else {
+        1
     }
-    0
 }

@@ -123,11 +123,6 @@ impl ToJson for ExperimentRecord {
     }
 }
 
-/// JSON dump of the records.
-pub fn json() -> String {
-    collect().to_json().pretty()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,7 +158,7 @@ mod tests {
         let md = markdown();
         assert!(md.contains("| Table II |"));
         assert!(md.contains("compared cells"));
-        let js = json();
+        let js = collect().to_json().pretty();
         assert!(js.contains("\"element\""));
     }
 }

@@ -29,7 +29,7 @@
 use crate::serve::CatalogExecutor;
 use pvc_core::Json;
 use pvc_serve::http::{After, HttpRequest, HttpResponse};
-use pvc_serve::{Request, Service, ServeError, SHUTDOWN_KIND, STATS_KIND};
+use pvc_serve::{Request, Service, SHUTDOWN_KIND, STATS_KIND};
 
 const CT_JSON: &str = "application/json";
 const CT_TEXT: &str = "text/plain; charset=utf-8";
@@ -72,14 +72,12 @@ pub fn handle(
         }
         ("GET", ["stats"]) => {
             let line = format!("{{\"kind\":\"{STATS_KIND}\"}}");
-            let envelope = service.handle_lines(&[&line]).remove(0);
-            (json_line(&envelope), After::Continue)
+            (json_line(&service.handle_line(&line)), After::Continue)
         }
         ("POST", ["query"]) => (query(service, &req.body), After::Continue),
         ("POST", ["shutdown"]) => {
             let line = format!("{{\"kind\":\"{SHUTDOWN_KIND}\"}}");
-            let envelope = service.handle_lines(&[&line]).remove(0);
-            (json_line(&envelope), After::Shutdown)
+            (json_line(&service.handle_line(&line)), After::Shutdown)
         }
         ("GET", ["table", id]) => catalog(service, req, table_request("table", id)),
         ("GET", ["figure", id]) => catalog(service, req, table_request("figure", id)),
@@ -127,21 +125,10 @@ fn query(service: &Service<CatalogExecutor>, body: &[u8]) -> HttpResponse {
     let Ok(text) = std::str::from_utf8(body) else {
         return HttpResponse::error(400, "query body must be UTF-8 JSON");
     };
-    let line = text.trim();
-    if line.is_empty() {
+    if text.trim().is_empty() {
         return HttpResponse::error(400, "query body must hold a request object or array");
     }
-    let reply = if line.starts_with('[') {
-        let batch = match pvc_core::json::parse(line) {
-            Ok(Json::Arr(items)) => items.into_iter().map(Request::from_json).collect(),
-            Ok(_) => unreachable!("starts with '['"),
-            Err(e) => vec![Err(ServeError::BadRequest(e.to_string()))],
-        };
-        Json::Arr(service.handle_batch(batch)).compact()
-    } else {
-        service.handle_lines(&[line]).remove(0).compact()
-    };
-    HttpResponse::ok(CT_JSON, format!("{reply}\n").into_bytes())
+    json_line(&service.handle_line(text))
 }
 
 /// Serves one catalog request document through the service and

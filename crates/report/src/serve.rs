@@ -19,6 +19,11 @@
 //! | `{"kind":"run","workload":W,"system":S,"chaos":SPEC}` | the same cell under a fault overlay |
 //! | `{"kind":"list"}` | the full scenario grid with units and citations |
 //!
+//! The table, figure, ablation, `experiments`, `conformance`, `devices`
+//! and `list` kinds are rows of [`ARTIFACTS`], the one artifact table:
+//! it validates their ids and names, renders them, names the
+//! `reproduce` verb that prints each, and seeds the warm corpus.
+//!
 //! `SPEC` is a '+'-joined chaos fault-token string (see
 //! [`pvc_arch::chaos::GRAMMAR`], e.g. `"xelink:0:0+clock:1.0"`). The
 //! spec's canonical spelling is part of the atom key, so degraded
@@ -40,10 +45,10 @@
 use crate::scenarios::registry;
 use crate::{ablations, experiments, figdata, profile, tables};
 use pvc_arch::System;
-use pvc_core::{json, Json};
+use pvc_core::json::{Json, ToJson};
 use pvc_memsim::LatsConfig;
 use pvc_scenario::{ChaosSpec, Ctx, ScenarioError};
-use pvc_serve::{Atom, Executor, Request};
+use pvc_serve::{Atom, Executor, Request, ServeConfig, Service};
 
 /// The executor serving the paper catalog.
 #[derive(Debug, Default, Clone, Copy)]
@@ -144,13 +149,175 @@ fn scenario_atom(slug: &str, system: System, chaos: Option<&ChaosSpec>) -> Atom 
     Atom::new(id, Json::obj(pairs))
 }
 
-fn atoms_typed(req: &Request) -> Result<Vec<Atom>, ScenarioError> {
-    let single = |op: &str, params: Vec<(&str, Json)>| -> Vec<Atom> {
-        let mut pairs = vec![("op", Json::str(op))];
-        pairs.extend(params);
-        let params = Json::obj(pairs);
-        vec![Atom::new(format!("{op}:{}", params.compact()), params)]
+/// How a request names one artifact of its kind.
+#[derive(Debug, Clone, Copy)]
+enum Select {
+    /// The kind alone names it: `{"kind":"devices"}`.
+    Only,
+    /// `{"kind":K,"id":N}`.
+    Id(i64),
+    /// `{"kind":K,"name":S}`.
+    Name(&'static str),
+}
+
+/// One paper artifact the catalog serves: the `reproduce` verb that
+/// prints it, its canonical request document ([`Artifact::request`])
+/// and its renderer.
+pub struct Artifact {
+    /// The `reproduce` verb that prints this row. Four ablations share
+    /// `ablations`; `None` marks a row served only as a request.
+    pub verb: Option<&'static str>,
+    /// The request kind.
+    pub kind: &'static str,
+    select: Select,
+    render: Render,
+}
+
+impl Artifact {
+    /// `{head: kind}` plus the selector field, in that order.
+    fn doc(&self, head: &str) -> Json {
+        let mut pairs = vec![(head, Json::str(self.kind))];
+        match self.select {
+            Select::Only => {}
+            Select::Id(n) => pairs.push(("id", Json::Int(n))),
+            Select::Name(s) => pairs.push(("name", Json::str(s))),
+        }
+        Json::obj(pairs)
+    }
+
+    /// The canonical request document, e.g. `{"kind":"table","id":3}`.
+    pub fn request(&self) -> Json {
+        self.doc("kind")
+    }
+
+    /// The single atom this artifact's request decomposes into.
+    fn atom(&self) -> Atom {
+        let params = self.doc("op");
+        Atom::new(format!("{}:{}", self.kind, params.compact()), params)
+    }
+
+    /// True when `doc` (a request body or atom params of this kind)
+    /// carries this row's selector.
+    fn selects(&self, doc: &Json) -> bool {
+        match self.select {
+            Select::Only => true,
+            Select::Id(n) => doc.get("id") == Some(&Json::Int(n)),
+            Select::Name(s) => doc.get("name").and_then(Json::as_str) == Some(s),
+        }
+    }
+}
+
+type Render = fn() -> Result<Json, ScenarioError>;
+
+const fn row(
+    verb: Option<&'static str>,
+    kind: &'static str,
+    select: Select,
+    render: Render,
+) -> Artifact {
+    Artifact { verb, kind, select, render }
+}
+
+fn text(s: String) -> Result<Json, ScenarioError> {
+    Ok(Json::obj(vec![("text", Json::Str(s))]))
+}
+
+fn figure1() -> Result<Json, ScenarioError> {
+    let csv = figdata::figure1_csv(&LatsConfig::default());
+    Ok(Json::obj(vec![("csv", Json::Str(csv))]))
+}
+
+fn conformance_verdict() -> Result<Json, ScenarioError> {
+    let line = crate::conformance::verdict().map_err(ScenarioError::BadRequest)?;
+    Ok(Json::obj(vec![("verdict", Json::Str(line.trim_end().to_string()))]))
+}
+
+/// Every artifact the catalog renders, in warm-corpus order: the only
+/// list of which tables, figures and ablations exist. Request
+/// validation, atom execution, the `reproduce` artifact verbs and
+/// `reproduce warm` all read it.
+pub static ARTIFACTS: [Artifact; 19] = [
+    row(Some("table1"), "table", Select::Id(1), || text(tables::render_table1())),
+    row(Some("table2"), "table", Select::Id(2), || text(tables::render_table2())),
+    row(Some("table3"), "table", Select::Id(3), || text(tables::render_table3())),
+    row(Some("table4"), "table", Select::Id(4), || text(tables::render_table4())),
+    row(Some("table5"), "table", Select::Id(5), || text(tables::render_table5())),
+    row(Some("table6"), "table", Select::Id(6), || text(tables::render_table6())),
+    row(Some("fig1"), "figure", Select::Id(1), figure1),
+    row(Some("fig2"), "figure", Select::Id(2), || text(figdata::render_figure2())),
+    row(Some("fig3"), "figure", Select::Id(3), || text(figdata::render_figure3())),
+    row(Some("fig4"), "figure", Select::Id(4), || text(figdata::render_figure4())),
+    row(Some("ablations"), "ablation", Select::Name("governor"), || {
+        text(ablations::governor_ablation().render())
+    }),
+    row(Some("ablations"), "ablation", Select::Name("pcie"), || {
+        text(ablations::pcie_ablation().render())
+    }),
+    row(Some("ablations"), "ablation", Select::Name("congestion"), || {
+        text(ablations::congestion_ablation().render())
+    }),
+    row(Some("ablations"), "ablation", Select::Name("plane"), || {
+        text(ablations::plane_ablation().render())
+    }),
+    row(Some("scaling"), "ablation", Select::Name("scaling"), || {
+        text(ablations::scaling_report().render())
+    }),
+    row(Some("json"), "experiments", Select::Only, || Ok(experiments::collect().to_json())),
+    row(None, "conformance", Select::Only, conformance_verdict),
+    row(Some("devices"), "devices", Select::Only, || Ok(pvc_arch::query::systems())),
+    row(None, "list", Select::Only, || Ok(list_scenarios())),
+];
+
+/// The [`ARTIFACTS`] row `req` names, or `None` when its kind is not an
+/// artifact kind. A table or figure id outside the table's range, or
+/// an unknown ablation name, is a typed bad request.
+fn artifact_for(req: &Request) -> Result<Option<&'static Artifact>, ScenarioError> {
+    let kind = req.kind();
+    let rows = || ARTIFACTS.iter().filter(move |a| a.kind == kind);
+    let Some(first) = rows().next() else {
+        return Ok(None);
     };
+    match first.select {
+        Select::Only => {}
+        // A kind's ids run 1..=n in table order.
+        Select::Id(_) => {
+            int_field(req, "id", 1, rows().count() as i64)?;
+        }
+        Select::Name(_) => {
+            str_field(req, "name", kind)?;
+        }
+    }
+    // Only a name can miss here.
+    let found = rows().find(|a| a.selects(req.canon()));
+    found.map(Some).ok_or_else(|| {
+        let name = req.get("name").and_then(Json::as_str).unwrap_or_default();
+        ScenarioError::bad_request(format!("unknown {kind} '{name}'"))
+    })
+}
+
+/// Serves `rows` as one batch through a fresh catalog service (default
+/// knobs, no store) and returns what `reproduce` prints for each: the
+/// result's `text`, else its `csv`, else its pretty JSON. The first
+/// error envelope comes back pretty-printed as `Err`.
+pub fn serve_artifacts(rows: &[&Artifact]) -> Result<Vec<String>, String> {
+    let service = Service::new(CatalogExecutor, ServeConfig::default());
+    let batch = rows.iter().map(|a| Request::from_json(a.request())).collect();
+    service
+        .handle_batch(batch)
+        .into_iter()
+        .map(|envelope| {
+            let Some(result) = envelope.get("result") else {
+                return Err(envelope.pretty());
+            };
+            Ok(match (result.get("text"), result.get("csv")) {
+                (Some(Json::Str(s)), _) | (None, Some(Json::Str(s))) => s.clone(),
+                _ => result.pretty(),
+            })
+        })
+        .collect()
+}
+
+fn atoms_typed(req: &Request) -> Result<Vec<Atom>, ScenarioError> {
     // Chaos overlays only make sense on scenario runs; a stray field on
     // any other kind is a typed rejection, not a silent ignore.
     if req.get("chaos").is_some() && req.kind() != "run" {
@@ -159,26 +326,10 @@ fn atoms_typed(req: &Request) -> Result<Vec<Atom>, ScenarioError> {
             req.kind()
         )));
     }
+    if let Some(artifact) = artifact_for(req)? {
+        return Ok(vec![artifact.atom()]);
+    }
     match req.kind() {
-        "table" => {
-            let id = int_field(req, "id", 1, 6)?;
-            Ok(single("table", vec![("id", Json::Int(id))]))
-        }
-        "figure" => {
-            let id = int_field(req, "id", 1, 4)?;
-            Ok(single("figure", vec![("id", Json::Int(id))]))
-        }
-        "ablation" => {
-            let name = str_field(req, "name", "ablation")?;
-            if !["governor", "pcie", "congestion", "plane", "scaling"].contains(&name.as_str()) {
-                return Err(ScenarioError::bad_request(format!("unknown ablation '{name}'")));
-            }
-            Ok(single("ablation", vec![("name", Json::str(name))]))
-        }
-        "experiments" => Ok(single("experiments", vec![])),
-        "conformance" => Ok(single("conformance", vec![])),
-        "devices" => Ok(single("devices", vec![])),
-        "list" => Ok(single("list", vec![])),
         "profile" => {
             let sys = system_from(req)?;
             let workload = str_field(req, "workload", "profile")?;
@@ -337,56 +488,10 @@ fn execute_atom_typed(atom: &Atom) -> Result<Json, ScenarioError> {
         .get("op")
         .and_then(Json::as_str)
         .ok_or_else(|| ScenarioError::bad_request("atom missing op"))?;
-    let text = |s: String| Json::obj(vec![("text", Json::Str(s))]);
+    if let Some(artifact) = ARTIFACTS.iter().find(|a| a.kind == op && a.selects(&atom.params)) {
+        return (artifact.render)();
+    }
     match op {
-        "table" => {
-            let Some(Json::Int(id)) = atom.params.get("id") else {
-                return Err(ScenarioError::bad_request("table atom missing id"));
-            };
-            Ok(text(match id {
-                1 => tables::render_table1(),
-                2 => tables::render_table2(),
-                3 => tables::render_table3(),
-                4 => tables::render_table4(),
-                5 => tables::render_table5(),
-                _ => tables::render_table6(),
-            }))
-        }
-        "figure" => {
-            let Some(Json::Int(id)) = atom.params.get("id") else {
-                return Err(ScenarioError::bad_request("figure atom missing id"));
-            };
-            Ok(match id {
-                1 => Json::obj(vec![(
-                    "csv",
-                    Json::Str(figdata::figure1_csv(&LatsConfig::default())),
-                )]),
-                2 => text(figdata::render_figure2()),
-                3 => text(figdata::render_figure3()),
-                _ => text(figdata::render_figure4()),
-            })
-        }
-        "ablation" => {
-            let Some(name) = atom.params.get("name").and_then(Json::as_str) else {
-                return Err(ScenarioError::bad_request("ablation atom missing name"));
-            };
-            Ok(text(match name {
-                "governor" => ablations::governor_ablation().render(),
-                "pcie" => ablations::pcie_ablation().render(),
-                "congestion" => ablations::congestion_ablation().render(),
-                "plane" => ablations::plane_ablation().render(),
-                _ => ablations::scaling_report().render(),
-            }))
-        }
-        "experiments" => json::parse(&experiments::json())
-            .map_err(|e| ScenarioError::bad_request(format!("experiments JSON failed to parse: {e}"))),
-        "conformance" => {
-            let line = crate::conformance::verdict().map_err(ScenarioError::BadRequest)?;
-            Ok(Json::obj(vec![("verdict", Json::Str(line.trim_end().to_string()))]))
-        }
-        "devices" => json::parse(&pvc_arch::query::systems_json())
-            .map_err(|e| ScenarioError::bad_request(format!("devices JSON failed to parse: {e}"))),
-        "list" => Ok(list_scenarios()),
         "profile" => {
             let sys: System = atom
                 .params
@@ -619,6 +724,10 @@ mod tests {
         let s = service();
         let cases = [
             (r#"{"kind":"table","id":9}"#, "1..=6"),
+            (r#"{"kind":"figure","id":0}"#, "1..=4"),
+            (r#"{"kind":"table"}"#, "missing 'id' field (1..=6)"),
+            (r#"{"kind":"ablation","name":"warp"}"#, "unknown ablation 'warp'"),
+            (r#"{"kind":"ablation"}"#, "ablation needs a string 'name'"),
             (r#"{"kind":"warp"}"#, "unknown request kind"),
             (r#"{"kind":"profile","workload":"nope"}"#, "unknown profile workload"),
             (r#"{"kind":"pcie","system":"aurora","modes":["sideways"]}"#, "unknown pcie mode"),
@@ -635,6 +744,42 @@ mod tests {
                 .and_then(Json::as_str)
                 .unwrap_or_else(|| panic!("{line} should fail: {}", r.pretty()));
             assert!(detail.contains(needle), "{line}: {detail}");
+        }
+    }
+
+    /// Every artifact row served through the service prints what its
+    /// renderer prints. Figure 1 is left to `figdata`'s digest pin.
+    #[test]
+    fn every_served_artifact_equals_its_renderer() {
+        let verdict = crate::conformance::verdict().expect("conformance holds");
+        let verdict = Json::obj(vec![("verdict", Json::Str(verdict.trim_end().to_string()))]);
+        let expected: Vec<(&str, String)> = vec![
+            (r#"{"kind":"table","id":1}"#, tables::render_table1()),
+            (r#"{"kind":"table","id":2}"#, tables::render_table2()),
+            (r#"{"kind":"table","id":3}"#, tables::render_table3()),
+            (r#"{"kind":"table","id":4}"#, tables::render_table4()),
+            (r#"{"kind":"table","id":5}"#, tables::render_table5()),
+            (r#"{"kind":"table","id":6}"#, tables::render_table6()),
+            (r#"{"kind":"figure","id":2}"#, figdata::render_figure2()),
+            (r#"{"kind":"figure","id":3}"#, figdata::render_figure3()),
+            (r#"{"kind":"figure","id":4}"#, figdata::render_figure4()),
+            (r#"{"kind":"ablation","name":"governor"}"#, ablations::governor_ablation().render()),
+            (r#"{"kind":"ablation","name":"pcie"}"#, ablations::pcie_ablation().render()),
+            (r#"{"kind":"ablation","name":"congestion"}"#, ablations::congestion_ablation().render()),
+            (r#"{"kind":"ablation","name":"plane"}"#, ablations::plane_ablation().render()),
+            (r#"{"kind":"ablation","name":"scaling"}"#, ablations::scaling_report().render()),
+            (r#"{"kind":"experiments"}"#, experiments::collect().to_json().pretty()),
+            (r#"{"kind":"conformance"}"#, verdict.pretty()),
+            (r#"{"kind":"devices"}"#, pvc_arch::query::systems_json()),
+            (r#"{"kind":"list"}"#, list_scenarios().pretty()),
+        ];
+        let rows: Vec<&Artifact> = ARTIFACTS.iter().filter(|a| a.verb != Some("fig1")).collect();
+        let docs: Vec<String> = rows.iter().map(|a| a.request().compact()).collect();
+        let named: Vec<&str> = expected.iter().map(|(doc, _)| *doc).collect();
+        assert_eq!(docs, named, "every row but Figure 1 has a named renderer");
+        let served = serve_artifacts(&rows).expect("every artifact serves");
+        for ((doc, want), got) in expected.iter().zip(&served) {
+            assert_eq!(got, want, "{doc}");
         }
     }
 

@@ -13,13 +13,14 @@
 //!   the fingerprint, and [`pvc_store::Store::open`] then resets the
 //!   store automatically — stale results can never serve.
 //! * [`warm_corpus`] — the full grid as request documents: every
-//!   registered `run` scenario, every canned table / figure / ablation
-//!   / sweep / profile, the singleton kinds, and (always) the canned CI
+//!   row of [`crate::serve::ARTIFACTS`], every registered `run`
+//!   scenario, every canned sweep / profile, and (always) the canned CI
 //!   corpus; [`warm_corpus_with_chaos`] adds a canned chaos corpus on
 //!   top. Deduplicated by canonical content address, so the corpus
 //!   enumerates each computation exactly once.
 
 use crate::scenarios::registry;
+use crate::serve::ARTIFACTS;
 use pvc_arch::System;
 use pvc_serve::{fnv1a64, Request};
 
@@ -27,9 +28,6 @@ use pvc_serve::{fnv1a64, Request};
 /// envelope schema): old stores then invalidate even when the model
 /// constants are unchanged.
 const STORE_SCHEMA: &str = "pvc-store-catalog/v1";
-
-/// The ablation names the catalog serves (the `ablation` request kind).
-pub const ABLATIONS: [&str; 5] = ["governor", "pcie", "congestion", "plane", "scaling"];
 
 /// The canned chaos corpus `warm --chaos` adds: representative fault
 /// overlays on both PVC systems, all valid against the chaos grammar.
@@ -78,9 +76,9 @@ pub fn build_fingerprint() -> u64 {
 }
 
 /// Every request document the catalog can answer deterministically:
-/// the 63 `run` scenarios, the canned tables/figures/ablations, the
-/// per-system PCIe sweeps, every registered profile workload, the
-/// singleton kinds, and the canned CI corpus. Deduplicated by
+/// the artifact table (tables, figures, ablations and the singleton
+/// kinds), the per-system PCIe sweeps, the 63 `run` scenarios, every
+/// registered profile workload, and the canned CI corpus. Deduplicated by
 /// canonical content address; `stats` is excluded by construction
 /// (it is live introspection, never cacheable).
 pub fn warm_corpus() -> Vec<String> {
@@ -94,19 +92,8 @@ pub fn warm_corpus_with_chaos() -> Vec<String> {
 }
 
 fn corpus(include_chaos: bool) -> Vec<String> {
-    let mut lines: Vec<String> = Vec::new();
-    for id in 1..=6 {
-        lines.push(format!(r#"{{"kind":"table","id":{id}}}"#));
-    }
-    for id in 1..=4 {
-        lines.push(format!(r#"{{"kind":"figure","id":{id}}}"#));
-    }
-    for name in ABLATIONS {
-        lines.push(format!(r#"{{"kind":"ablation","name":"{name}"}}"#));
-    }
-    for kind in ["experiments", "conformance", "devices", "list"] {
-        lines.push(format!(r#"{{"kind":"{kind}"}}"#));
-    }
+    // Every paper artifact and singleton kind, in artifact-table order.
+    let mut lines: Vec<String> = ARTIFACTS.iter().map(|a| a.request().compact()).collect();
     for sys in System::PVC {
         lines.push(format!(
             r#"{{"kind":"pcie","system":"{}","modes":["h2d","d2h","bidir"]}}"#,
@@ -207,6 +194,18 @@ mod tests {
             assert!(!keys.contains(&req.key()), "duplicate corpus key: {line}");
             keys.push(req.key());
         }
+    }
+
+    /// The corpus order is the order a warm pass appends records, so a
+    /// reordered corpus changes the store file's bytes.
+    #[test]
+    fn corpus_order_is_pinned() {
+        let corpus = warm_corpus();
+        assert_eq!(corpus.len(), 110);
+        assert_eq!(fnv1a64(corpus.join("\n").as_bytes()), 0x94b5_96a3_635c_0ea3);
+        let chaos = warm_corpus_with_chaos();
+        assert_eq!(chaos.len(), 115);
+        assert_eq!(fnv1a64(chaos.join("\n").as_bytes()), 0x7c15_cf09_46f1_0505);
     }
 
     #[test]

@@ -169,6 +169,7 @@ fn query_without_files_prints_usage_and_examples() {
     let (_, stderr, ok) = reproduce(&["query"]);
     assert!(!ok);
     assert!(stderr.contains("usage: reproduce query"));
+    assert!(stderr.contains("[--store PATH]"), "{stderr}");
     assert!(stderr.contains(r#"{"kind":"table","id":2}"#));
 }
 
@@ -176,7 +177,8 @@ fn query_without_files_prints_usage_and_examples() {
 fn removed_serving_flags_are_rejected_as_usage_errors() {
     // One process serves one cache, one store and one queue: the raw
     // TCP frontend and the worker-count flag are gone, and asking for either
-    // is a usage error (exit 2) rather than a silently ignored knob.
+    // is a usage error (exit 2) rather than a silently ignored knob. Each
+    // serving verb accepts only the flags it reads, and `--budget` is gone.
     let dir = std::env::temp_dir().join("pvc_cli_removed_flags_test");
     let _ = std::fs::remove_dir_all(&dir);
     let req = write_request(&dir, "t2.json", r#"{"kind":"table","id":2}"#);
@@ -184,6 +186,10 @@ fn removed_serving_flags_are_rejected_as_usage_errors() {
         vec!["serve", "--tcp", "127.0.0.1:0"],
         vec!["query", "--shards", "2", req.as_str()],
         vec!["warm", "--shards", "2"],
+        vec!["query", "--http", "127.0.0.1:0", req.as_str()],
+        vec!["serve", "--rounds", "2"],
+        vec!["stats", "--stats"],
+        vec!["query", "--budget", "64", req.as_str()],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
             .args(&args)

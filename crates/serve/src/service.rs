@@ -243,6 +243,31 @@ impl<E: Executor> Service<E> {
         self.handle_batch(lines.iter().map(|l| Request::parse(l)).collect())
     }
 
+    /// Serves one frontend line, the protocol the stdin loop and
+    /// `POST /query` share: a request object is answered with one
+    /// envelope, a JSON array is served as one batch and answered with
+    /// one array of envelopes (a malformed array with a one-element
+    /// array holding the `bad_request` envelope).
+    pub fn handle_line(&self, line: &str) -> Json {
+        let line = line.trim();
+        match pvc_core::json::parse(line) {
+            Ok(Json::Arr(items)) => {
+                Json::Arr(self.handle_batch(items.into_iter().map(Request::from_json).collect()))
+            }
+            parsed => {
+                let input = parsed
+                    .map_err(|e| ServeError::BadRequest(e.to_string()))
+                    .and_then(Request::from_json);
+                let mut envelopes = self.handle_batch(vec![input]);
+                if line.starts_with('[') {
+                    Json::Arr(envelopes)
+                } else {
+                    envelopes.remove(0)
+                }
+            }
+        }
+    }
+
     /// Serves one batch of parsed requests (parse failures included, so
     /// their envelopes stay in position). Never panics, never blocks
     /// indefinitely: every input gets exactly one envelope.

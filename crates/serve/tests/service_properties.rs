@@ -286,3 +286,26 @@ fn shutdown_kind_latches_and_answers_ok() {
     let r = s.handle_lines(&[&item(1)]).remove(0);
     assert!(r.get("result").is_some());
 }
+
+#[test]
+fn handle_line_answers_objects_singly_and_arrays_as_one_batch() {
+    pin_threads();
+    let s = service(ServeConfig::default());
+    // An object line is one envelope, byte-equal to the batch API's.
+    let one = s.handle_line(&format!("  {}\n", item(4)));
+    assert_eq!(one.canonical(), s.handle_lines(&[&item(4)])[0].canonical());
+    // An array line is one batch (duplicates single-flight) answered
+    // with one array in input order.
+    let batch = s.handle_line(&format!("[{},{},{}]", item(5), item(5), item(6)));
+    let items = batch.as_array().expect("array answer");
+    assert_eq!(items.len(), 3);
+    assert_eq!(items[0].canonical(), items[1].canonical());
+    assert_eq!(s.metrics().counter("serve.singleflight.deduped"), 1);
+    // A malformed array is a one-element array of the bad_request
+    // envelope; a malformed object or a bare scalar is a lone envelope.
+    let bad = |line: &str| s.handle_line(line).compact();
+    assert!(bad("[{\"kind\":").starts_with(r#"[{"error":{"kind":"bad_request""#));
+    for line in ["{\"kind\":", "7"] {
+        assert!(bad(line).starts_with(r#"{"error":{"kind":"bad_request""#), "{line}");
+    }
+}
