@@ -7,13 +7,56 @@
 
 use pvc_arch::{CacheLevel, Partition};
 
+/// Where lines land in one set-associative cache. [`CacheSim`] indexes
+/// its tags with it, and the counted pointer chase
+/// ([`ChaseCycle::chase`](crate::ChaseCycle::chase)) its per-set
+/// counters, so the two cannot disagree about a line's set.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SetGeometry {
+    line_bytes: u64,
+    /// A power of two, so a line's set is its low index bits.
+    sets: u64,
+    ways: usize,
+}
+
+impl SetGeometry {
+    /// The geometry of the cache [`CacheSim::new`] builds.
+    pub(crate) fn new(size_bytes: u64, line_bytes: u32, associativity: u32) -> Self {
+        assert!(line_bytes > 0 && associativity > 0 && size_bytes > 0);
+        let raw_sets = size_bytes / (line_bytes as u64 * associativity as u64);
+        assert!(raw_sets > 0, "cache smaller than one set");
+        SetGeometry {
+            line_bytes: line_bytes as u64,
+            sets: 1u64 << (63 - raw_sets.leading_zeros()),
+            ways: associativity as usize,
+        }
+    }
+
+    /// The geometry of one level of a partition's hierarchy.
+    pub(crate) fn of(c: &CacheLevel) -> Self {
+        Self::new(c.size_bytes, c.line_bytes, c.associativity)
+    }
+
+    pub(crate) fn sets(&self) -> usize {
+        self.sets as usize
+    }
+
+    pub(crate) fn ways(&self) -> usize {
+        self.ways
+    }
+
+    /// The set holding line number `line` (the address divided by the
+    /// line size).
+    pub(crate) fn set_of(&self, line: u64) -> usize {
+        (line & (self.sets - 1)) as usize
+    }
+}
+
 /// One set-associative cache with true-LRU replacement.
 #[derive(Debug, Clone)]
 pub struct CacheSim {
-    line_bytes: u64,
-    sets: u64,
-    assoc: usize,
-    /// `tags[set * assoc..][..assoc]` holds one set's tags ordered from
+    geometry: SetGeometry,
+    /// `tags[set * ways..][..ways]` holds one set's tags ordered from
     /// MRU to LRU; `u64::MAX` marks an empty way.
     tags: Vec<u64>,
     hits: u64,
@@ -28,16 +71,10 @@ impl CacheSim {
     /// # Panics
     /// Panics if the geometry is degenerate (zero lines or ways).
     pub fn new(size_bytes: u64, line_bytes: u32, associativity: u32) -> Self {
-        assert!(line_bytes > 0 && associativity > 0 && size_bytes > 0);
-        let raw_sets = size_bytes / (line_bytes as u64 * associativity as u64);
-        assert!(raw_sets > 0, "cache smaller than one set");
-        let sets = 1u64 << (63 - raw_sets.leading_zeros());
-        let assoc = associativity as usize;
+        let geometry = SetGeometry::new(size_bytes, line_bytes, associativity);
         CacheSim {
-            line_bytes: line_bytes as u64,
-            sets,
-            assoc,
-            tags: vec![u64::MAX; (sets as usize) * assoc],
+            geometry,
+            tags: vec![u64::MAX; geometry.sets() * geometry.ways()],
             hits: 0,
             misses: 0,
         }
@@ -46,17 +83,18 @@ impl CacheSim {
     /// Effective capacity in bytes after power-of-two rounding of the
     /// set count.
     pub fn capacity(&self) -> u64 {
-        self.sets * self.assoc as u64 * self.line_bytes
+        let g = &self.geometry;
+        g.sets * g.ways as u64 * g.line_bytes
     }
 
     /// Accesses the line containing `addr`; returns true on hit. Misses
     /// fill the line (allocate-on-miss) evicting the LRU way.
     pub fn access(&mut self, addr: u64) -> bool {
-        let line = addr / self.line_bytes;
-        let set = (line % self.sets) as usize;
-        let tag = line / self.sets;
-        let base = set * self.assoc;
-        let ways = &mut self.tags[base..base + self.assoc];
+        let g = &self.geometry;
+        let line = addr / g.line_bytes;
+        let tag = line / g.sets;
+        let base = g.set_of(line) * g.ways;
+        let ways = &mut self.tags[base..base + g.ways];
 
         if let Some(pos) = ways.iter().position(|&t| t == tag) {
             ways[..=pos].rotate_right(1);

@@ -19,7 +19,7 @@
 //! address sequence. One cycle depends only on the slot count, so it can
 //! be chased through every hierarchy with the same line size.
 
-use crate::cache::Hierarchy;
+use crate::cache::{Hierarchy, SetGeometry};
 use pvc_arch::{GpuModel, Partition};
 
 /// Configuration of a latency sweep.
@@ -105,9 +105,10 @@ impl LatencyPoint {
 /// ```
 ///
 /// Returns one [`LatencyPoint`] per footprint. The ring is a fixed
-/// pseudo-random permutation of line-aligned slots (seeded by the
-/// footprint), matching the original `lats`' randomized ring that defeats
-/// hardware prefetch.
+/// pseudo-random permutation of line-aligned slots (seeded by the slot
+/// count, so footprints with the same number of slots share a ring),
+/// matching the original `lats`' randomized ring that defeats hardware
+/// prefetch.
 pub fn latency_profile(gpu: &GpuModel, cfg: &LatsConfig) -> Vec<LatencyPoint> {
     let clock_hz = gpu.clock.max_hz();
     cfg.footprints()
@@ -185,9 +186,30 @@ impl ChaseCycle {
     /// Mean per-access latency (cycles) of chasing this cycle through a
     /// cold hierarchy of `partition`, measuring up to `steps` accesses
     /// after one warm-up traversal.
+    ///
+    /// The result is the mean of a [`Hierarchy`] of LRU caches serving
+    /// every access. When the measured steps re-walk a prefix of the
+    /// warm-up and every level's line is the chase stride, the hits are
+    /// counted per set instead, to the same bits (see
+    /// [`count`](Self::count)); that is the case from about 4 MiB at the
+    /// default 2^16 steps with 64 B lines. Otherwise (small footprints
+    /// that wrap around the cycle, levels with lines wider than the
+    /// stride) the hierarchy is simulated access by access.
     pub fn chase(&self, partition: &Partition, steps: u64) -> f64 {
-        let mut h = Hierarchy::for_partition(partition);
-        let addr = |slot: &u32| u64::from(*slot) * self.line_bytes;
+        let (warmup, measured) = self.phases(partition, steps);
+        let stride_lines = partition
+            .caches
+            .iter()
+            .all(|c| u64::from(c.line_bytes) == self.line_bytes);
+        if measured <= warmup && stride_lines {
+            self.count(partition, warmup, measured)
+        } else {
+            self.walk(partition, steps)
+        }
+    }
+
+    /// The warm-up and measured access counts of a chase of `steps`.
+    fn phases(&self, partition: &Partition, steps: u64) -> (usize, usize) {
         let slots = self.order.len() as u64;
         // Warm-up: one full traversal fills whatever fits. For footprints
         // far beyond the outermost cache a partial traversal is
@@ -200,14 +222,69 @@ impl ChaseCycle {
             .max()
             .unwrap_or(0);
         let warmup = slots.min(outer_lines.saturating_mul(3).max(1 << 20));
-        for slot in &self.order[..warmup as usize] {
-            let _ = h.access(addr(slot));
-        }
         // Measured phase: restarts from slot 0 and wraps around the cycle
         // for small footprints.
         let measured = steps.min(slots.saturating_mul(4));
+        (warmup as usize, measured as usize)
+    }
+
+    /// [`chase`](Self::chase) by counting, for `measured <= warmup` and
+    /// a line per slot at every level.
+    ///
+    /// The warm-up is at most one lap, so each warm-up access is the
+    /// first touch of its line: it misses at, and fills, every level.
+    /// Measured access `j` touches the line of warm-up access `j` again.
+    /// Its LRU stack distance at a level (Mattson et al., IBM Sys. J.
+    /// 1970) is the number of distinct lines touched in its set there
+    /// since: the warm-up accesses after `j`, plus the earlier measured
+    /// accesses that reached the level (missed every level above it).
+    /// It hits at the first level where that distance is below the
+    /// ways. Latencies are summed in access order, as the walk sums them.
+    fn count(&self, partition: &Partition, warmup: usize, measured: usize) -> f64 {
+        let levels: Vec<(SetGeometry, f64)> = partition
+            .caches
+            .iter()
+            .map(|c| (SetGeometry::of(c), c.latency_cycles))
+            .collect();
+        // Per level and set, before measured access j: warm-up accesses
+        // from j on plus measured accesses before j that reached the
+        // level. A slot's line number is the slot: lines are the stride.
+        let mut touched: Vec<Vec<u32>> = levels.iter().map(|(g, _)| vec![0; g.sets()]).collect();
+        for &slot in &self.order[..warmup] {
+            for ((g, _), sets) in levels.iter().zip(&mut touched) {
+                sets[g.set_of(u64::from(slot))] += 1;
+            }
+        }
         let mut total = 0.0;
-        for slot in self.order.iter().cycle().take(measured as usize) {
+        for &slot in &self.order[..measured] {
+            let mut served = None;
+            for ((g, cycles), sets) in levels.iter().zip(&mut touched) {
+                let n = &mut sets[g.set_of(u64::from(slot))];
+                if served.is_some() {
+                    // Not reached: only the warm-up touch at j leaves.
+                    *n -= 1;
+                } else if *n as usize <= g.ways() {
+                    // Distance n - 1 < ways. Reached, so j's warm-up
+                    // touch leaves and its measured touch joins.
+                    served = Some(*cycles);
+                }
+            }
+            total += served.unwrap_or(partition.memory.latency_cycles);
+        }
+        total / measured as f64
+    }
+
+    /// [`chase`](Self::chase) by simulating every access through a
+    /// [`Hierarchy`].
+    fn walk(&self, partition: &Partition, steps: u64) -> f64 {
+        let (warmup, measured) = self.phases(partition, steps);
+        let mut h = Hierarchy::for_partition(partition);
+        let addr = |slot: &u32| u64::from(*slot) * self.line_bytes;
+        for slot in &self.order[..warmup] {
+            let _ = h.access(addr(slot));
+        }
+        let mut total = 0.0;
+        for slot in self.order.iter().cycle().take(measured) {
             total += h.access(addr(slot));
         }
         total / measured as f64
@@ -243,6 +320,9 @@ mod tests {
     use super::*;
     use crate::cache::CacheSim;
     use pvc_arch::systems::{h100_gpu, mi250_gpu, pvc_aurora_gpu, pvc_dawn_gpu};
+    use pvc_arch::CacheLevel;
+    use pvc_core::check::check;
+    use pvc_core::ensure;
 
     fn level_at(gpu: &GpuModel, footprint: u64) -> f64 {
         chase(gpu, footprint, 1 << 14)
@@ -328,18 +408,126 @@ mod tests {
         // the warm-up cap of max(3 * 131072 L2 lines, 2^20).
         let fixed = [8u64 << 10, 128 << 10, 4 << 20, 256 << 20];
         for gpu in [pvc_aurora_gpu(), pvc_dawn_gpu(), h100_gpu(), mi250_gpu()] {
-            // 1/16 past each level's capacity only some sets overflow, so
-            // the mean depends on which slots the measured steps visit.
-            let past_each_level = gpu.partition.caches.iter().map(|c| {
-                let cap = CacheSim::new(c.size_bytes, c.line_bytes, c.associativity).capacity();
-                cap + cap / 16
-            });
-            for fp in fixed.into_iter().chain(past_each_level) {
-                let got = chase(&gpu, fp, 1 << 14);
-                let want = chase_reference(&gpu, fp, 1 << 14);
-                assert_eq!(got.to_bits(), want.to_bits(), "{} at {fp} B", gpu.name);
+            let line = chase_line_bytes(&gpu.partition);
+            let capacities: Vec<u64> = gpu
+                .partition
+                .caches
+                .iter()
+                .map(|c| CacheSim::new(c.size_bytes, c.line_bytes, c.associativity).capacity())
+                .collect();
+            let cases = fixed
+                .iter()
+                .map(|&fp| (fp, 1 << 14))
+                // 1/16 past each level's capacity only some sets
+                // overflow, so the mean depends on which slots the
+                // measured steps visit.
+                .chain(capacities.iter().map(|&cap| (cap + cap / 16, 1 << 14)))
+                // The served sweep's 2^16 steps, one line either side of
+                // each capacity: the first and last sets to overflow.
+                .chain(
+                    capacities
+                        .iter()
+                        .flat_map(|&cap| [cap - line, cap + line].map(|fp| (fp, 1 << 16))),
+                );
+            for (fp, steps) in cases {
+                let got = chase(&gpu, fp, steps).to_bits();
+                let want = chase_reference(&gpu, fp, steps).to_bits();
+                let name = gpu.name;
+                assert_eq!(got, want, "{name} at {fp} B, {steps} steps");
             }
         }
+    }
+
+    /// `partition` of PVC with its caches and memory latency replaced.
+    fn partition_with(caches: Vec<CacheLevel>, memory_latency: f64) -> Partition {
+        let mut partition = pvc_aurora_gpu().partition;
+        partition.caches = caches;
+        partition.memory.latency_cycles = memory_latency;
+        partition
+    }
+
+    fn level(size_bytes: u64, line_bytes: u32, associativity: u32, latency: f64) -> CacheLevel {
+        CacheLevel {
+            name: "L",
+            size_bytes,
+            per_compute_unit: false,
+            line_bytes,
+            associativity,
+            latency_cycles: latency,
+        }
+    }
+
+    #[test]
+    fn counted_chase_equals_the_walk_on_random_geometries() {
+        let mut counted = 0;
+        check("lats-counted-chase-equals-walk", 400, |g| {
+            // 1-3 levels of 64 B lines and 1-16 ways, within a factor of
+            // two of a common line count so that a footprint can sit at
+            // several levels' capacities at once. 1 to 3072 sets, sized
+            // off a power of two so that the set count rounds down.
+            let base_lines = g.u64_in(1..1537) as f64;
+            let caches: Vec<CacheLevel> = (0..g.usize_in(1..4))
+                .map(|_| {
+                    let ways = g.u32_in(1..17);
+                    let sets = (base_lines * g.f64_in(0.5..2.0)) as u64 / u64::from(ways);
+                    let set_bytes = 64 * u64::from(ways);
+                    let size = sets.max(1) * set_bytes + g.u64_in(0..set_bytes);
+                    level(size, 64, ways, g.f64_in(1.0..400.0))
+                })
+                .collect();
+            let slots = if g.usize_in(0..10) == 0 {
+                // Past 2^20 slots behind caches of at most ~3100 lines:
+                // the warm-up is capped at 2^20 accesses.
+                (1 << 20) + g.u64_in(1..1 << 18)
+            } else {
+                // At a level's effective capacity, 1-4 lines either
+                // side of it, or half again as large.
+                let c = g.choose(&caches);
+                let cap = CacheSim::new(c.size_bytes, 64, c.associativity).capacity() / 64;
+                match g.usize_in(0..4) {
+                    0 => cap,
+                    1 => cap.saturating_sub(g.u64_in(1..5)).max(1),
+                    2 => cap + g.u64_in(1..5),
+                    _ => cap * 3 / 2,
+                }
+            };
+            // 2^6 to 2^16 steps: a power of two, or one full lap.
+            let steps = if g.bool() {
+                1u64 << g.u32_in(6..17)
+            } else {
+                slots.clamp(1 << 6, 1 << 16)
+            };
+            let partition = partition_with(caches, g.f64_in(400.0..1000.0));
+            let cycle = ChaseCycle::new(slots * 64, 64);
+            let (warmup, measured) = cycle.phases(&partition, steps);
+            counted += usize::from(measured <= warmup);
+            let got = cycle.chase(&partition, steps);
+            let want = cycle.walk(&partition, steps);
+            ensure!(
+                got.to_bits() == want.to_bits(),
+                "{slots} slots, {steps} steps: chase {got} != walk {want}"
+            );
+            Ok(())
+        });
+        assert!(counted >= 200, "only {counted} of 400 cases counted");
+    }
+
+    #[test]
+    fn lines_wider_than_the_stride_take_the_walk() {
+        // Two 64 B slots share each 128 B L2 line, so a warm-up access
+        // can hit in L2 and counting would be wrong; `chase` must walk.
+        // The 256 KiB footprint fills the L2 exactly in 128 B lines but
+        // overflows it twice over in 64 B ones.
+        let caches = vec![
+            level(16 << 10, 64, 4, 30.0),
+            level(256 << 10, 128, 4, 200.0),
+        ];
+        let partition = partition_with(caches, 700.0);
+        let cycle = ChaseCycle::new(256 << 10, 64);
+        let (warmup, measured) = cycle.phases(&partition, 1 << 10);
+        assert!(measured <= warmup, "counted but for the line sizes");
+        let got = cycle.chase(&partition, 1 << 10);
+        assert_eq!(got.to_bits(), cycle.walk(&partition, 1 << 10).to_bits());
     }
 
     #[test]

@@ -26,18 +26,6 @@ fn gpu_for(system: System) -> GpuModel {
     system.node().gpu
 }
 
-/// Default sweep: 32 KiB up to at most 1 GiB, 2 points/octave (Figure
-/// 1's x-range). The √2 float walk ends at 759 250 124 B, see
-/// [`LatsConfig::footprints`].
-pub fn default_config() -> LatsConfig {
-    LatsConfig {
-        min_bytes: 32 * 1024,
-        max_bytes: 1 << 30,
-        points_per_octave: 2,
-        steps: 1 << 14,
-    }
-}
-
 /// Runs the sweep for one system.
 pub fn run(system: System, cfg: &LatsConfig) -> LatsSeries {
     let gpu = gpu_for(system);

@@ -115,6 +115,13 @@ mod tests {
             let meta = std::fs::metadata(p).expect("file exists");
             assert!(meta.len() > 100, "{p:?} is non-trivial");
         }
+        // At this sweep's 2^13 steps the chase counts hits from 512 KiB
+        // (1 MiB with H100's 128 B lines) and simulates smaller
+        // footprints. Pinned to the bytes of the chase that simulated
+        // every footprint.
+        let fig1 = std::fs::read(dir.join("figure1.csv")).expect("read figure1.csv");
+        assert_eq!(fig1.len(), 951);
+        assert_eq!(pvc_store::fnv1a64(&fig1), 0x16b0_428e_f40c_1524);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
