@@ -37,13 +37,18 @@ run cargo run --offline --release --example device_query > /dev/null
 
 # 6. Observability: a profile run emits parseable, non-empty, and
 #    byte-reproducible Chrome-trace JSON (the binary itself validates
-#    the JSON parses and traceEvents is non-empty before writing).
+#    the JSON parses and traceEvents is non-empty before writing), and
+#    Cloverleaf's printed summary is byte-reproducible too.
 profile_dir="$(mktemp -d)"
 trap 'rm -rf "$profile_dir"' EXIT
 run "$reproduce" profile pcie-h2d "$profile_dir/a.json" > /dev/null
 run "$reproduce" profile pcie-h2d "$profile_dir/b.json" > /dev/null
 test -s "$profile_dir/a.json"
 run cmp "$profile_dir/a.json" "$profile_dir/b.json"
+run "$reproduce" profile cloverleaf "$profile_dir/c.json" > "$profile_dir/c.out"
+run "$reproduce" profile cloverleaf "$profile_dir/c.json" > "$profile_dir/d.out"
+test -s "$profile_dir/c.out"
+run cmp "$profile_dir/c.out" "$profile_dir/d.out"
 
 # 7. Serving: one-shot queries over three canned requests are
 #    byte-deterministic across processes, the warm round is served from
@@ -95,6 +100,8 @@ test -s "$serve_dir/BENCH_serve.json"
 run grep -q '"schema": "pvc-bench/v1"' "$serve_dir/BENCH_serve.json"
 run grep -q '"name": "serve/table2_cold_miss"' "$serve_dir/BENCH_serve.json"
 run grep -q '"name": "serve/warm_from_disk"' "$serve_dir/BENCH_serve.json"
+run grep -q '"name": "serve/experiments_from_disk"' "$serve_dir/BENCH_serve.json"
+run grep -q '"name": "serve/profile_cloverleaf_cold"' "$serve_dir/BENCH_serve.json"
 run grep -q '"name": "serve/allocate_1k_flows"' "$serve_dir/BENCH_serve.json"
 
 # 10. Chaos lab: the property suite proves fault overlays never improve

@@ -1,5 +1,6 @@
 //! Benchmarks of the `pvc-serve` query service: cache-hit vs cache-miss
-//! throughput, single-flight batching, and the sweep coalescing factor.
+//! throughput, store hits, one cold profile atom, single-flight
+//! batching, and the sweep coalescing factor.
 //!
 //! Run with `cargo bench -p pvc-bench --bench serve`. The warm/cold
 //! latency table in EXPERIMENTS.md §Serving is produced by this bench.
@@ -12,6 +13,8 @@ use std::hint::black_box;
 const TABLE2: &str = r#"{"kind":"table","id":2}"#;
 const SWEEP_A: &str = r#"{"kind":"pcie","system":"aurora","modes":["h2d","d2h"]}"#;
 const SWEEP_B: &str = r#"{"kind":"pcie","system":"aurora","modes":["d2h","bidir"]}"#;
+const EXPERIMENTS: &str = r#"{"kind":"experiments"}"#;
+const CLOVERLEAF: &str = r#"{"kind":"profile","workload":"cloverleaf","system":"aurora"}"#;
 
 fn fresh() -> Service<CatalogExecutor> {
     Service::new(CatalogExecutor, ServeConfig::default())
@@ -48,12 +51,11 @@ fn serve_cache_hit(c: &mut Criterion) {
 
 /// Disk tier: every iteration is a fresh process standing in — a new
 /// service with an empty LRU opens the warmed store file and answers
-/// Table II from disk (open + index load + probe + parse + promote),
-/// without running the simulation. Sits between `table2_cold_miss` and
-/// `table2_warm_hit` in the EXPERIMENTS.md three-row latency table.
-fn serve_warm_from_disk(c: &mut Criterion) {
+/// `request` from disk (open + index load + probe + parse + promote),
+/// without computing it. `name` is the bench name in group `serve`.
+fn bench_store_hit(c: &mut Criterion, name: &str, request: &str) {
     let path = std::env::temp_dir().join(format!(
-        "pvc-bench-serve-store-{}.bin",
+        "pvc-bench-serve-store-{name}-{}.bin",
         std::process::id()
     ));
     let _ = std::fs::remove_file(&path);
@@ -63,21 +65,49 @@ fn serve_warm_from_disk(c: &mut Criterion) {
         let (store, report) = pvc_store::Store::open(&path, fp).unwrap();
         let mut s = fresh();
         s.attach_store(store, &report);
-        s.handle_lines(&[TABLE2]);
+        s.handle_lines(&[request]);
     }
     let mut g = c.benchmark_group("serve");
     g.sample_size(50);
-    g.bench_function("warm_from_disk", |b| {
+    g.bench_function(name, |b| {
         b.iter(|| {
             let (store, report) = pvc_store::Store::open(&path, fp).unwrap();
             let mut s = fresh();
             s.attach_store(store, &report);
-            black_box(s.handle_lines(&[TABLE2]));
+            black_box(s.handle_lines(&[request]));
             assert_eq!(s.metrics().counter("serve.store.hit"), 1);
         })
     });
     g.finish();
     let _ = std::fs::remove_file(&path);
+}
+
+/// Table II from disk. Sits between `table2_cold_miss` and
+/// `table2_warm_hit` in the EXPERIMENTS.md three-row latency table.
+fn serve_warm_from_disk(c: &mut Criterion) {
+    bench_store_hit(c, "warm_from_disk", TABLE2);
+}
+
+/// The `experiments` record from disk: at about 24 KB the largest
+/// stored body, so its time is mostly parsing the stored JSON.
+fn serve_experiments_from_disk(c: &mut Criterion) {
+    bench_store_hit(c, "experiments_from_disk", EXPERIMENTS);
+}
+
+/// One cold profile atom: run Cloverleaf on Aurora under the tracer,
+/// render its Chrome trace (about 142 KB) and validate it by parsing it
+/// back.
+fn serve_profile_cold(c: &mut Criterion) {
+    let mut g = c.benchmark_group("serve");
+    g.sample_size(10);
+    g.bench_function("profile_cloverleaf_cold", |b| {
+        b.iter(|| {
+            let s = fresh();
+            black_box(s.handle_lines(&[CLOVERLEAF]));
+            assert_eq!(s.metrics().counter("serve.atoms.executed"), 1);
+        })
+    });
+    g.finish();
 }
 
 /// Single-flight: a batch of eight identical cold requests costs one
@@ -148,6 +178,8 @@ criterion_group!(
     serve_cache_miss,
     serve_cache_hit,
     serve_warm_from_disk,
+    serve_experiments_from_disk,
+    serve_profile_cold,
     flow_allocate_1k,
     serve_singleflight,
     serve_sweep_coalescing,

@@ -241,19 +241,22 @@ impl std::error::Error for ParseError {}
 /// containers); numbers with a fraction or exponent become
 /// [`Json::Num`], bare integers in `i64` range become [`Json::Int`].
 pub fn parse(input: &str) -> Result<Json, ParseError> {
-    let bytes = input.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser { src: input, pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != bytes.len() {
+    if p.pos != input.len() {
         return Err(p.err("trailing characters after document"));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
+    /// Byte offset into `src`. Between tokens and between the pieces of
+    /// a string it sits on a char boundary: everything the parser steps
+    /// over one byte at a time is ASCII, except the byte after a
+    /// backslash that is no escape, which ends the parse.
     pos: usize,
 }
 
@@ -262,8 +265,12 @@ impl<'a> Parser<'a> {
         ParseError { at: self.pos, msg }
     }
 
+    fn bytes(&self) -> &'a [u8] {
+        self.src.as_bytes()
+    }
+
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -282,7 +289,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -358,17 +365,23 @@ impl<'a> Parser<'a> {
         self.expect(b'"', "expected '\"'")?;
         let mut s = String::new();
         loop {
-            let rest = &self.bytes[self.pos..];
-            let Some(&c) = rest.first() else {
-                return Err(self.err("unterminated string"));
-            };
-            match c {
-                b'"' => {
+            // Copy the run up to the next quote or backslash in one go.
+            // Both are ASCII, so the run ends on a char boundary.
+            let rest = &self.src[self.pos..];
+            let run = rest.bytes().position(|b| b == b'"' || b == b'\\');
+            let run = run.unwrap_or(rest.len());
+            s.push_str(&rest[..run]);
+            self.pos += run;
+            match self.peek() {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') => {
                     self.pos += 1;
                     return Ok(s);
                 }
-                b'\\' => {
-                    let esc = rest.get(1).copied().ok_or(self.err("bad escape"))?;
+                Some(_) => {
+                    // A backslash: one escape.
+                    let esc = self.bytes().get(self.pos + 1).copied();
+                    let esc = esc.ok_or(self.err("bad escape"))?;
                     self.pos += 2;
                     match esc {
                         b'"' => s.push('"'),
@@ -380,13 +393,11 @@ impl<'a> Parser<'a> {
                         b'b' => s.push('\u{8}'),
                         b'f' => s.push('\u{c}'),
                         b'u' => {
-                            let hex = self
-                                .bytes
+                            let code = self
+                                .src
                                 .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .and_then(|hex| u32::from_str_radix(hex, 16).ok())
                                 .ok_or(self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
                             self.pos += 4;
                             // Surrogate pairs are not emitted by our
                             // writer; map lone surrogates to U+FFFD.
@@ -394,14 +405,6 @@ impl<'a> Parser<'a> {
                         }
                         _ => return Err(self.err("unknown escape")),
                     }
-                }
-                _ => {
-                    // Consume one UTF-8 scalar.
-                    let tail = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = tail.chars().next().expect("non-empty");
-                    s.push(ch);
-                    self.pos += ch.len_utf8();
                 }
             }
         }
@@ -423,8 +426,7 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("digits are ASCII");
+        let text = &self.src[start..self.pos];
         if !fractional {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Json::Int(i));
@@ -489,6 +491,8 @@ impl<T: ToJson> ToJson for Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::{check, Gen};
+    use crate::{ensure, ensure_eq};
 
     #[test]
     fn integers_print_without_decimal() {
@@ -552,11 +556,120 @@ mod tests {
 
     #[test]
     fn parse_rejects_malformed_documents() {
-        for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "1 2", "\"unterminated"] {
-            assert!(parse(bad).is_err(), "{bad:?} must fail");
+        // Each case's byte offset and message, pinned.
+        let cases: [(&str, usize, &str); 25] = [
+            ("", 0, "expected a JSON value"),
+            ("{", 1, "expected '\"'"),
+            ("[1,", 3, "expected a JSON value"),
+            ("{\"a\" 1}", 5, "expected ':' after object key"),
+            ("tru", 0, "invalid literal"),
+            ("nul", 0, "invalid literal"),
+            ("1 2", 2, "trailing characters after document"),
+            ("[1,]", 3, "expected a JSON value"),
+            ("-", 0, "invalid number"),
+            ("1.2.3", 0, "invalid number"),
+            ("[1 2]", 3, "expected ',' or ']' in array"),
+            ("[\"é\"  x]", 7, "expected ',' or ']' in array"),
+            ("{\"a\":1 \"b\":2}", 7, "expected ',' or '}' in object"),
+            ("{1:2}", 1, "expected '\"'"),
+            // Unterminated strings fail at the end of the input.
+            ("\"unterminated", 13, "unterminated string"),
+            ("\"日本語", 10, "unterminated string"),
+            ("{\"a\":\"b", 7, "unterminated string"),
+            // A backslash that ends the input, at the backslash.
+            ("\"a\\", 2, "bad escape"),
+            // Unknown escapes, just past the escaped byte (inside `é`).
+            ("\"\\x\"", 3, "unknown escape"),
+            ("\"\\é\"", 3, "unknown escape"),
+            ("[\"ab\\q\"]", 6, "unknown escape"),
+            ("\"\\u00e9\\x\"", 9, "unknown escape"),
+            // Bad `\u`: at the first hex digit.
+            ("\"\\u12\"", 3, "bad \\u escape"),
+            ("\"\\uzz12\"", 3, "bad \\u escape"),
+            ("\"\\u12", 3, "bad \\u escape"),
+        ];
+        for (bad, at, msg) in cases {
+            assert_eq!(parse(bad), Err(ParseError { at, msg }), "{bad:?}");
         }
         let e = parse("[1,]").unwrap_err();
-        assert!(e.to_string().contains("byte"));
+        assert_eq!(e.to_string(), "JSON parse error at byte 3: expected a JSON value");
+    }
+
+    /// A string mixing ASCII, 2/3/4-byte UTF-8, the two characters the
+    /// writer must escape, control characters, and long runs.
+    fn arbitrary_string(g: &mut Gen) -> String {
+        const PIECES: [&str; 12] =
+            ["a", "Z9 ", "é", "ß", "–", "中", "😀", "\"", "\\", "\n", "\u{1}", "\u{1f}"];
+        let mut s = String::new();
+        for _ in 0..g.usize_in(0..12) {
+            let piece = *g.choose(&PIECES);
+            let repeat = if g.usize_in(0..8) == 0 { g.usize_in(64..2048) } else { 1 };
+            for _ in 0..repeat {
+                s.push_str(piece);
+            }
+        }
+        s
+    }
+
+    /// A random document whose every value survives a round trip: no
+    /// integral `Num` (it would print as an `Int`), no non-finite ones.
+    fn arbitrary_json(g: &mut Gen, depth: usize) -> Json {
+        let leaf = depth == 0 || g.usize_in(0..3) == 0;
+        match g.usize_in(0..if leaf { 5 } else { 7 }) {
+            0 => Json::Null,
+            1 => Json::Bool(g.bool()),
+            2 => Json::Int(g.u64_in(0..u64::MAX) as i64),
+            3 => {
+                let x = g.f64_in(-1e9..1e9);
+                Json::Num(if x.fract() == 0.0 { x + 0.5 } else { x })
+            }
+            4 => Json::Str(arbitrary_string(g)),
+            5 => Json::Arr((0..g.usize_in(0..5)).map(|_| arbitrary_json(g, depth - 1)).collect()),
+            _ => Json::Obj(
+                (0..g.usize_in(0..5))
+                    .map(|_| (arbitrary_string(g), arbitrary_json(g, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    #[test]
+    fn arbitrary_documents_round_trip() {
+        check("json-round-trip", 300, |g| {
+            let doc = arbitrary_json(g, 4);
+            for text in [doc.pretty(), doc.compact()] {
+                ensure_eq!(parse(&text), Ok(doc.clone()));
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn arbitrary_inputs_fail_with_an_offset_inside_the_input() {
+        check("json-arbitrary-input", 1000, |g| {
+            let bytes: Vec<u8> = if g.bool() {
+                // Raw bytes, most of them from JSON's own alphabet.
+                const ALPHABET: &[u8] = b"{}[]\",:\\u0123456789abcdefnrtl-+.eE \n";
+                (0..g.usize_in(0..64))
+                    .map(|_| match g.usize_in(0..4) {
+                        0 => g.u32_in(0..256) as u8,
+                        _ => *g.choose(ALPHABET),
+                    })
+                    .collect()
+            } else {
+                // A valid document with a byte range cut out, or cut short.
+                let mut text = arbitrary_json(g, 3).compact().into_bytes();
+                let from = g.usize_in(0..text.len() + 1);
+                let to = g.usize_in(from..text.len() + 1);
+                text.drain(from..to);
+                text
+            };
+            let input = String::from_utf8_lossy(&bytes);
+            if let Err(e) = parse(&input) {
+                ensure!(e.at <= input.len());
+            }
+            Ok(())
+        });
     }
 
     #[test]

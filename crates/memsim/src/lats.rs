@@ -17,7 +17,8 @@
 //! the host reads it sequentially instead of following a dependent
 //! successor load per step, and the simulated caches see the same
 //! address sequence. One cycle depends only on the slot count, so it can
-//! be chased through every hierarchy with the same line size.
+//! be chased through every hierarchy whose footprint has that many
+//! slots, whatever its line size.
 
 use crate::cache::{Hierarchy, SetGeometry};
 use pvc_arch::{GpuModel, Partition};
@@ -119,8 +120,14 @@ pub fn latency_profile(gpu: &GpuModel, cfg: &LatsConfig) -> Vec<LatencyPoint> {
 
 /// Mean per-access latency (cycles) chasing a ring of `footprint_bytes`.
 pub fn chase(gpu: &GpuModel, footprint_bytes: u64, steps: u64) -> f64 {
-    let line = chase_line_bytes(&gpu.partition);
-    ChaseCycle::new(footprint_bytes, line).chase(&gpu.partition, steps)
+    let slots = chase_slots(&gpu.partition, footprint_bytes);
+    ChaseCycle::new(slots).chase(&gpu.partition, steps)
+}
+
+/// The line slots (at least one) of a chase over `footprint_bytes` on
+/// `partition`: one per stride.
+pub fn chase_slots(partition: &Partition, footprint_bytes: u64) -> u64 {
+    (footprint_bytes / chase_line_bytes(partition)).max(1)
 }
 
 /// The stride of a chase on `partition`: its innermost cache's line
@@ -159,28 +166,27 @@ impl ChaseKey {
 }
 
 /// The order in which a chase visits the line slots of one footprint:
-/// a deterministic pseudo-random single cycle over `0..slots`.
+/// a deterministic pseudo-random single cycle over `0..slots`. Chased on
+/// a partition, slot `s` is the line at `s` times its
+/// [`chase_line_bytes`].
 #[derive(Debug, Clone)]
 pub struct ChaseCycle {
-    line_bytes: u64,
     /// Slots in visit order. The cycle starts from slot 0, so this is
     /// slot 0's successor first and slot 0 last.
     order: Vec<u32>,
 }
 
 impl ChaseCycle {
-    /// The cycle over the `footprint_bytes / line_bytes` slots (at least
-    /// one) of a footprint.
+    /// The cycle over `slots` line slots (see [`chase_slots`]).
     ///
     /// # Panics
-    /// Panics if the footprint spans 2^32 or more lines.
-    pub fn new(footprint_bytes: u64, line_bytes: u64) -> Self {
-        let slots = (footprint_bytes / line_bytes).max(1);
+    /// Panics if `slots` is 0 or 2^32 or more.
+    pub fn new(slots: u64) -> Self {
         let mut order = sattolo(slots);
         let zero = order.iter().position(|&s| s == 0).expect("slot 0 in cycle");
         let len = order.len();
         order.rotate_left((zero + 1) % len);
-        ChaseCycle { line_bytes, order }
+        ChaseCycle { order }
     }
 
     /// Mean per-access latency (cycles) of chasing this cycle through a
@@ -197,10 +203,8 @@ impl ChaseCycle {
     /// stride) the hierarchy is simulated access by access.
     pub fn chase(&self, partition: &Partition, steps: u64) -> f64 {
         let (warmup, measured) = self.phases(partition, steps);
-        let stride_lines = partition
-            .caches
-            .iter()
-            .all(|c| u64::from(c.line_bytes) == self.line_bytes);
+        let stride = chase_line_bytes(partition);
+        let stride_lines = partition.caches.iter().all(|c| u64::from(c.line_bytes) == stride);
         if measured <= warmup && stride_lines {
             self.count(partition, warmup, measured)
         } else {
@@ -279,7 +283,8 @@ impl ChaseCycle {
     fn walk(&self, partition: &Partition, steps: u64) -> f64 {
         let (warmup, measured) = self.phases(partition, steps);
         let mut h = Hierarchy::for_partition(partition);
-        let addr = |slot: &u32| u64::from(*slot) * self.line_bytes;
+        let stride = chase_line_bytes(partition);
+        let addr = |slot: &u32| u64::from(*slot) * stride;
         for slot in &self.order[..warmup] {
             let _ = h.access(addr(slot));
         }
@@ -386,7 +391,7 @@ mod tests {
     #[test]
     fn permutation_is_single_cycle() {
         for slots in [1u64, 2, 7, 64, 1000] {
-            let cycle = ChaseCycle::new(slots * 64, 64);
+            let cycle = ChaseCycle::new(slots);
             assert_eq!(cycle.order.len() as u64, slots);
             let mut seen = vec![false; slots as usize];
             for &slot in &cycle.order {
@@ -498,7 +503,7 @@ mod tests {
                 slots.clamp(1 << 6, 1 << 16)
             };
             let partition = partition_with(caches, g.f64_in(400.0..1000.0));
-            let cycle = ChaseCycle::new(slots * 64, 64);
+            let cycle = ChaseCycle::new(slots);
             let (warmup, measured) = cycle.phases(&partition, steps);
             counted += usize::from(measured <= warmup);
             let got = cycle.chase(&partition, steps);
@@ -523,7 +528,7 @@ mod tests {
             level(256 << 10, 128, 4, 200.0),
         ];
         let partition = partition_with(caches, 700.0);
-        let cycle = ChaseCycle::new(256 << 10, 64);
+        let cycle = ChaseCycle::new((256 << 10) / 64);
         let (warmup, measured) = cycle.phases(&partition, 1 << 10);
         assert!(measured <= warmup, "counted but for the line sizes");
         let got = cycle.chase(&partition, 1 << 10);

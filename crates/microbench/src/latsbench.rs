@@ -6,7 +6,7 @@
 //! pattern (single dependent chain, Sattolo ring).
 
 use pvc_arch::{GpuModel, System};
-use pvc_memsim::lats::chase_line_bytes;
+use pvc_memsim::lats::chase_slots;
 use pvc_memsim::{latency_profile, ChaseCycle, ChaseKey, LatencyPoint, LatsConfig};
 
 /// One architecture's Figure 1 series.
@@ -52,12 +52,14 @@ fn series(system: System, gpu: &GpuModel, points: Vec<LatencyPoint>) -> LatsSeri
 /// [`run`] on its system.
 ///
 /// Systems whose hierarchies have the same [`ChaseKey`] (Aurora and Dawn
-/// differ only in compute units) are chased once. The work fans out over
-/// `pvc_core::par` as one task per (line size, footprint), largest
-/// footprints first: each task builds the footprint's [`ChaseCycle`]
-/// once and chases every distinct hierarchy with that line size through
-/// it. Results are merged by index, so the legend order, the points and
-/// the CSV do not depend on the thread count.
+/// differ only in compute units) are chased once. A [`ChaseCycle`]
+/// depends only on its slot count, and the 128 B-line H100 meets most
+/// of the 64 B-line slot counts one octave further up the sweep. So the
+/// work fans out over `pvc_core::par` as one task per distinct slot
+/// count, largest first: each task builds that count's cycle once and
+/// chases every (hierarchy, footprint) with that count through it.
+/// Results are merged by index, so the legend order, the points and the
+/// CSV do not depend on the thread count.
 pub fn figure1(cfg: &LatsConfig) -> Vec<LatsSeries> {
     let gpus: Vec<GpuModel> = System::ALL.iter().map(|&s| gpu_for(s)).collect();
     // One representative system per distinct hierarchy.
@@ -72,29 +74,29 @@ pub fn figure1(cfg: &LatsConfig) -> Vec<LatsSeries> {
             })
         })
         .collect();
-    let line_of = |gpu: &GpuModel| chase_line_bytes(&gpu.partition);
-    let mut lines: Vec<u64> = hierarchies.iter().map(|(_, gpu)| line_of(gpu)).collect();
-    lines.sort_unstable();
-    lines.dedup();
 
     let footprints = cfg.footprints();
-    let tasks: Vec<(u64, usize)> = (0..footprints.len())
-        .rev()
-        .flat_map(|f| lines.iter().map(move |&line| (line, f)))
+    // (slots, hierarchy, footprint index), largest cycles first.
+    let mut chases: Vec<(u64, usize, usize)> = hierarchies
+        .iter()
+        .enumerate()
+        .flat_map(|(h, (_, gpu))| {
+            let slots = |&fp| chase_slots(&gpu.partition, fp);
+            footprints.iter().map(slots).enumerate().map(move |(f, n)| (n, h, f))
+        })
         .collect();
+    chases.sort_unstable_by(|a, b| b.cmp(a));
+    let tasks: Vec<&[(u64, usize, usize)]> = chases.chunk_by(|a, b| a.0 == b.0).collect();
     let chased = pvc_core::par::map_collect(tasks.len(), |t| {
-        let (line, f) = tasks[t];
-        let cycle = ChaseCycle::new(footprints[f], line);
-        hierarchies
+        let cycle = ChaseCycle::new(tasks[t][0].0);
+        tasks[t]
             .iter()
-            .enumerate()
-            .filter(|(_, (_, gpu))| line_of(gpu) == line)
-            .map(|(h, (_, gpu))| (h, cycle.chase(&gpu.partition, cfg.steps)))
+            .map(|&(_, h, _)| cycle.chase(&hierarchies[h].1.partition, cfg.steps))
             .collect::<Vec<_>>()
     });
     let mut cycles = vec![vec![0.0; footprints.len()]; hierarchies.len()];
-    for (&(_, f), results) in tasks.iter().zip(chased) {
-        for (h, c) in results {
+    for (task, results) in tasks.iter().zip(chased) {
+        for (&(_, h, f), c) in task.iter().zip(results) {
             cycles[h][f] = c;
         }
     }
@@ -118,6 +120,7 @@ pub fn figure1(cfg: &LatsConfig) -> Vec<LatsSeries> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn quick_cfg() -> LatsConfig {
         LatsConfig {
@@ -135,13 +138,11 @@ mod tests {
         assert!(series.iter().all(|s| !s.points.is_empty()));
     }
 
-    #[test]
-    fn figure1_equals_per_system_runs_bitwise() {
-        // Deduplicated hierarchies and the (line, footprint) fan-out are
-        // invisible: every series equals its system's own sweep.
-        let cfg = quick_cfg();
-        for (series, system) in figure1(&cfg).iter().zip(System::ALL) {
-            let alone = run(system, &cfg);
+    /// Every series of `figure1(cfg)` equals its system's own sweep,
+    /// to the bit.
+    fn assert_figure1_equals_per_system_runs(cfg: &LatsConfig) {
+        for (series, system) in figure1(cfg).iter().zip(System::ALL) {
+            let alone = run(system, cfg);
             assert_eq!(series.label, alone.label);
             assert_eq!(series.plateaus, alone.plateaus);
             assert_eq!(series.points.len(), alone.points.len());
@@ -151,6 +152,34 @@ mod tests {
                 assert_eq!(a.nanos.to_bits(), b.nanos.to_bits(), "{}", series.label);
             }
         }
+    }
+
+    #[test]
+    fn figure1_equals_per_system_runs_bitwise() {
+        // Deduplicated hierarchies and the slot-count fan-out are
+        // invisible: every series equals its system's own sweep.
+        assert_figure1_equals_per_system_runs(&quick_cfg());
+    }
+
+    #[test]
+    fn figure1_equals_per_system_runs_where_slot_counts_partly_coincide() {
+        // Three points per octave from a footprint that is not a power
+        // of two: the 128 B sweep shares most of its slot counts with
+        // the 64 B one, but not all, and each shared cycle serves
+        // footprints of both line sizes.
+        let cfg = LatsConfig {
+            min_bytes: 50_000,
+            max_bytes: 1 << 25,
+            points_per_octave: 3,
+            steps: 1 << 12,
+        };
+        let slots = |line: u64| -> BTreeSet<u64> {
+            cfg.footprints().iter().map(|fp| fp / line).collect()
+        };
+        let (narrow, wide) = (slots(64), slots(128));
+        let shared = wide.intersection(&narrow).count();
+        assert!(0 < shared && shared < wide.len(), "{shared} of {} shared", wide.len());
+        assert_figure1_equals_per_system_runs(&cfg);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! End-to-end properties of the HTTP/1.1 frontend: the `POST /query`
 //! bytes are identical to the stdin frontend's, keep-alive connections
 //! replay to byte-identical bodies, `/metrics` exposes the `serve.*`
-//! counters, content negotiation unwraps rendered text, and
+//! counters, content negotiation unwraps rendered text, a 1 MiB
+//! request string is answered like any other request, and
 //! `POST /shutdown` stops the accept loop gracefully.
 //!
 //! The service holds `Rc`/`RefCell` state (one cache, one queue, one
@@ -275,6 +276,69 @@ fn client_disconnects_do_not_kill_the_http_frontend() {
     let (status, _, body) = request(&mut w, &mut r, "GET", "/healthz", None, None);
     assert_eq!(status, 200);
     assert_eq!(body, b"ok\n");
+    drop(w);
+    drop(r);
+    shutdown(addr, handle);
+}
+
+/// A 1 MiB request line: an ablation request whose `name` is one string
+/// of about a million bytes, ASCII and multi-byte UTF-8 mixed. Returns
+/// the line and the name.
+fn hostile_body() -> (String, String) {
+    const LEN: usize = 1 << 20;
+    let (head, tail) = (r#"{"kind":"ablation","name":""#, r#""}"#);
+    let room = LEN - head.len() - tail.len();
+    let mut name = "xe–core é ".repeat(room / "xe–core é ".len());
+    name.push_str(&"x".repeat(room - name.len()));
+    let line = format!("{head}{name}{tail}");
+    assert_eq!(line.len(), LEN);
+    (line, name)
+}
+
+/// The typed answer to [`hostile_body`]: an unknown ablation (the
+/// catalog's planning errors are `failed` envelopes), echoing the whole
+/// name back.
+fn assert_unknown_ablation(envelope: &Json, name: &str) {
+    let error = envelope.get("error").expect("an error envelope");
+    assert_eq!(error.get("kind"), Some(&Json::str("failed")));
+    let detail = error.get("detail").and_then(Json::as_str).expect("detail");
+    assert_eq!(detail, format!("unknown ablation '{name}'"));
+    let echoed = envelope.get("request").and_then(|r| r.get("name"));
+    assert_eq!(echoed, Some(&Json::str(name)));
+}
+
+#[test]
+fn a_one_mib_string_field_gets_its_envelope_and_the_next_request_is_served() {
+    let (line, name) = hostile_body();
+    let service = Service::new(CatalogExecutor, ServeConfig::default());
+    let envelope = service.handle_line(&line);
+    assert_unknown_ablation(&envelope, &name);
+    let healthy = service.handle_line(r#"{"kind":"table","id":2}"#);
+    assert!(healthy.get("result").is_some(), "{}", healthy.compact());
+}
+
+#[test]
+fn a_one_mib_query_body_gets_its_envelope_over_http_and_the_server_stays_up() {
+    let (line, name) = hostile_body();
+    let want = format!(
+        "{}\n",
+        Service::new(CatalogExecutor, ServeConfig::default()).handle_line(&line).compact()
+    );
+    let (addr, handle) = boot();
+    let (mut w, mut r) = connect(addr);
+    let (status, _, body) = request(&mut w, &mut r, "POST", "/query", None, Some(&line));
+    assert_eq!(status, 200);
+    let body = String::from_utf8(body).expect("utf8 body");
+    assert!(body == want, "the HTTP answer must equal the stdin frontend's line");
+    let envelope = pvc_core::json::parse(body.trim_end()).expect("envelope parses");
+    assert_unknown_ablation(&envelope, &name);
+    // The same connection is still served.
+    let table2 = Some(r#"{"kind":"table","id":2}"#);
+    let (status, _, body) = request(&mut w, &mut r, "POST", "/query", None, table2);
+    assert_eq!(status, 200);
+    let envelope = pvc_core::json::parse(std::str::from_utf8(&body).unwrap().trim_end())
+        .expect("table 2 envelope parses");
+    assert!(envelope.get("result").is_some());
     drop(w);
     drop(r);
     shutdown(addr, handle);
