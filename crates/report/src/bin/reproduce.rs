@@ -8,29 +8,32 @@
 //! reproduce run <workload> <system>
 //! reproduce chaos <workload> <system> <spec>
 //! reproduce profile <workload> [outfile]
-//! reproduce query [--stats] [--rounds N] [--queue-depth N] [--cache-cap N] [--store PATH] [--access-log PATH] <request.json>...
-//! reproduce serve [--stats] [--queue-depth N] [--cache-cap N] [--store PATH] [--http ADDR] [--access-log PATH]
-//! reproduce stats [--rounds N] [--queue-depth N] [--cache-cap N] [--store PATH] [--access-log PATH] [request.json...]
-//! reproduce warm [--store PATH] [--chaos] [--verify]
+//! reproduce query [--stats] [--rounds N] [--queue-depth N] [--store PATH] [--access-log PATH] <request.json>...
+//! reproduce serve [--stats] [--queue-depth N] [--store PATH] [--http ADDR] [--access-log PATH]
+//! reproduce stats [--rounds N] [--queue-depth N] [--store PATH] [--access-log PATH] [request.json...]
+//! reproduce warm [--store PATH] [--verify]
 //! ```
-//! The artifact verbs (`table1`…`table6`, `fig1`…`fig4`, `scaling`,
-//! `ablations`, `devices`, `json`, and the tables and figures `all`
-//! prints) are catalog requests: each looks its rows up in
-//! [`pvc_report::serve::ARTIFACTS`] and serves them through one
-//! catalog service, so they print exactly what `query` and `serve`
-//! answer. `all` adds Figure 1 at a coarse sweep and the experiment
-//! record.
+//! Every artifact verb (`table1`…`table6`, `fig1`…`fig4`, `scaling`,
+//! `ablations`, `devices`, `json`, `experiments`, `charts`,
+//! `rooflines`, `energy`, `fabric`, `conformance`, `list` and `all`) is
+//! a catalog request: it looks its rows up with
+//! [`pvc_report::serve::verb_rows`] and serves them through one catalog
+//! service, so it prints exactly what `query` and `serve` answer. `all`,
+//! the default with no argument, prints every table and figure and the
+//! experiment record. `conformance` exits 1 when a golden expectation
+//! fails.
 //!
-//! `list` prints the full scenario grid — every registered
-//! workload × system pair with its figure-of-merit unit and paper
-//! citation. `run` executes one scenario and prints its typed outcome.
-//! `chaos` runs one scenario twice — healthy and under a '+'-joined
-//! fault-spec overlay (e.g. `xelink:0:0`, `pcie:3x8+clock:1.0`) — and
-//! prints the FOM delta plus which resource was the bottleneck of each
-//! run. With no argument, prints everything. `profile` runs one workload
-//! under the deterministic virtual-time tracer and writes a Chrome-trace
-//! JSON file (default `profile-<workload>.json`), then prints the top-N
-//! span table and the metrics summary.
+//! The other verbs take arguments, write files or gate on an exit
+//! status. `csv` writes the table CSVs and Figure 1's served CSV into
+//! a directory. `validate` exits 1 unless every published cell is
+//! within 8% and conformance holds. `run` executes one scenario and
+//! prints its typed outcome. `chaos` runs one scenario twice — healthy
+//! and under a '+'-joined fault-spec overlay (e.g. `xelink:0:0`,
+//! `pcie:3x8+clock:1.0`) — and prints the FOM delta plus which resource
+//! was the bottleneck of each run. `profile` runs one workload under
+//! the deterministic virtual-time tracer and writes a Chrome-trace JSON
+//! file (default `profile-<workload>.json`), then prints the top-N span
+//! table and the metrics summary.
 //!
 //! `query` is the one-shot service frontend: every file is one request
 //! document, all files form one admitted batch, and the canonical
@@ -52,27 +55,27 @@
 //! `--access-log PATH` additionally writes the structured JSON access
 //! log (one line per request: outcome, canonical key, virtual cost,
 //! queue depth at admission) — `query` writes it once at exit, `serve`
-//! appends after every batch. `stats` is the offline rendering verb: it
-//! runs a batch (the canned catalog requests by default, or the given
-//! files) through a fresh service and prints the Prometheus-style
-//! exposition text followed by a per-histogram quantile table.
+//! appends after every batch. Without it no log line is kept. `stats`
+//! is the offline rendering verb: it runs a batch (the canned catalog
+//! requests by default, or the given files) through a fresh service
+//! and prints the Prometheus-style exposition text followed by a
+//! per-histogram quantile table.
 //!
 //! `warm` precomputes the persistent result store: it enumerates the
-//! registry's full grid (every `run` scenario, every canned table /
-//! figure / ablation / sweep / profile; `--chaos` adds a canned fault
-//! corpus) and persists every response into a `pvc-store` segment file
-//! keyed by content address and bound to the current build fingerprint.
-//! `--verify` instead requires the store to already be warm: it fails
-//! unless every corpus request is answered from disk with zero cold
-//! computes. The other frontends take `--store PATH` to attach the
-//! warmed store as a second cache tier below the in-memory LRU, so a
-//! fresh process answers its very first catalog query without running
-//! a simulation. A store written by a different build fingerprint is
-//! detected at open and reset automatically.
+//! registry's full grid (every artifact row, every `run` scenario,
+//! every canned sweep and profile) and persists every response into a
+//! `pvc-store` segment file keyed by content address and bound to the
+//! current build fingerprint. `--verify` instead requires the store to
+//! already be warm: it fails unless every corpus request is answered
+//! from disk with zero cold computes. The other frontends take
+//! `--store PATH` to attach the warmed store as a second cache tier
+//! below the in-memory LRU, so a fresh process answers its very first
+//! catalog query without running a simulation. A store written by a
+//! different build fingerprint is detected at open and reset
+//! automatically.
 
-use pvc_memsim::LatsConfig;
-use pvc_report::serve::{serve_artifacts, Artifact, CatalogExecutor, ARTIFACTS, CANNED_REQUESTS};
-use pvc_report::{experiments, figdata};
+use pvc_report::experiments;
+use pvc_report::serve::{serve_artifacts, verb_rows, CatalogExecutor, CANNED_REQUESTS};
 use pvc_serve::{Request, ServeConfig, Service, Telemetry};
 use std::io::{BufRead, Write};
 
@@ -82,10 +85,13 @@ fn main() {
     let mut out = String::new();
 
     // An artifact verb prints its row; a verb naming several rows
-    // (`ablations`) prints each followed by a blank line.
-    let rows: Vec<&Artifact> = ARTIFACTS.iter().filter(|a| a.verb == Some(what)).collect();
+    // (`ablations`, `all`) prints each followed by a blank line.
+    let rows = verb_rows(what);
     if !rows.is_empty() {
-        let printed = served_or_exit(&rows);
+        let printed = serve_artifacts(&rows).unwrap_or_else(|envelope| {
+            eprintln!("{envelope}");
+            std::process::exit(1);
+        });
         if let [one] = printed.as_slice() {
             out.push_str(one);
         } else {
@@ -98,10 +104,6 @@ fn main() {
         return;
     }
     match what {
-        "charts" => out.push_str(&figdata::render_figures_ascii()),
-        "experiments" => out.push_str(&experiments::markdown()),
-        "rooflines" => out.push_str(&pvc_report::tables::render_rooflines()),
-        "energy" => out.push_str(&pvc_report::energy::render_energy_table()),
         "csv" => {
             let dir = args
                 .get(1)
@@ -117,12 +119,6 @@ fn main() {
                     eprintln!("failed to write artifacts: {e}");
                     std::process::exit(1);
                 }
-            }
-        }
-        "fabric" => {
-            for sys in pvc_arch::System::PVC {
-                out.push_str(&pvc_report::fabric_matrix::render_matrix(sys));
-                out.push('\n');
             }
         }
         "validate" => {
@@ -154,31 +150,6 @@ fn main() {
             if failures > 0 {
                 print!("{out}");
                 std::process::exit(1);
-            }
-        }
-        "list" => {
-            let reg = pvc_report::scenarios::registry();
-            out.push_str(&format!(
-                "{:<28} {:<10} {:<5} {}\n",
-                "scenario", "unit", "dir", "citation"
-            ));
-            for s in reg.iter() {
-                let dir = if s.fom_kind().higher_is_better() { "up" } else { "down" };
-                out.push_str(&format!(
-                    "{:<28} {:<10} {:<5} {}\n",
-                    s.id().key(),
-                    s.unit(),
-                    dir,
-                    s.citation()
-                ));
-            }
-            out.push_str(&format!("{} scenarios registered\n", reg.len()));
-            out.push_str(
-                "\nevery scenario accepts a chaos overlay: `reproduce chaos <workload> <system> <spec>`\n",
-            );
-            out.push_str("spec grammar ('+'-joined fault tokens):\n");
-            for line in pvc_arch::chaos::GRAMMAR {
-                out.push_str(&format!("  {line}\n"));
             }
         }
         "run" => {
@@ -309,34 +280,6 @@ fn main() {
         "warm" => {
             std::process::exit(run_warm(&args[1..]));
         }
-        "conformance" => match pvc_report::conformance::verdict() {
-            Ok(_) => out.push_str(&pvc_report::conformance::markdown()),
-            Err(msg) => {
-                eprint!("{msg}");
-                std::process::exit(1);
-            }
-        },
-        "all" => {
-            // Every table and figure row; Figure 1 follows at its
-            // coarse sweep.
-            let rows: Vec<&Artifact> = ARTIFACTS
-                .iter()
-                .filter(|a| matches!(a.kind, "table" | "figure") && a.verb != Some("fig1"))
-                .collect();
-            for p in served_or_exit(&rows) {
-                out.push_str(&p);
-                out.push('\n');
-            }
-            out.push_str("Figure 1 (CSV):\n");
-            out.push_str(&figdata::figure1_csv(&LatsConfig {
-                min_bytes: 64 * 1024,
-                max_bytes: 1 << 30,
-                points_per_octave: 1,
-                steps: 1 << 13,
-            }));
-            out.push('\n');
-            out.push_str(&experiments::markdown());
-        }
         other => {
             eprintln!(
                 "unknown target '{other}'; expected table1..table6, fig1..fig4, scaling, ablations, devices, json, experiments, charts, rooflines, energy, fabric, csv [dir], conformance, validate, list, run <workload> <system>, chaos <workload> <system> <spec>, profile <workload> [outfile], query <request.json>.., serve, stats, warm or all"
@@ -355,22 +298,12 @@ fn or_usage<T, E: std::fmt::Display>(r: Result<T, E>) -> T {
     })
 }
 
-/// Serves artifact rows through the catalog and returns what each
-/// prints; an error envelope goes to stderr with exit 1.
-fn served_or_exit(rows: &[&Artifact]) -> Vec<String> {
-    serve_artifacts(rows).unwrap_or_else(|envelope| {
-        eprintln!("{envelope}");
-        std::process::exit(1);
-    })
-}
-
 /// The flags of the serving verbs (`query`, `serve`, `stats`, `warm`).
 #[derive(Default)]
 struct ServeFlags {
     cfg: ServeConfig,
     stats: bool,
     rounds: usize,
-    chaos: bool,
     verify: bool,
     http: Option<String>,
     access_log: Option<String>,
@@ -378,10 +311,10 @@ struct ServeFlags {
     files: Vec<String>,
 }
 
-const QUERY_USAGE: &str = "usage: reproduce query [--stats] [--rounds N] [--queue-depth N] [--cache-cap N] [--store PATH] [--access-log PATH] <request.json>...";
-const SERVE_USAGE: &str = "usage: reproduce serve [--stats] [--queue-depth N] [--cache-cap N] [--store PATH] [--http ADDR] [--access-log PATH]";
-const STATS_USAGE: &str = "usage: reproduce stats [--rounds N] [--queue-depth N] [--cache-cap N] [--store PATH] [--access-log PATH] [request.json...]";
-const WARM_USAGE: &str = "usage: reproduce warm [--store PATH] [--chaos] [--verify]";
+const QUERY_USAGE: &str = "usage: reproduce query [--stats] [--rounds N] [--queue-depth N] [--store PATH] [--access-log PATH] <request.json>...";
+const SERVE_USAGE: &str = "usage: reproduce serve [--stats] [--queue-depth N] [--store PATH] [--http ADDR] [--access-log PATH]";
+const STATS_USAGE: &str = "usage: reproduce stats [--rounds N] [--queue-depth N] [--store PATH] [--access-log PATH] [request.json...]";
+const WARM_USAGE: &str = "usage: reproduce warm [--store PATH] [--verify]";
 
 /// Parses a serving verb's arguments. A flag is accepted only when the
 /// verb's `usage` line names it, and request files only when it names
@@ -415,8 +348,6 @@ fn parse_serve_flags(args: &[String], usage: &str) -> Result<ServeFlags, String>
             "--stats" => f.stats = true,
             "--rounds" => f.rounds = num(&mut it, "--rounds")?,
             "--queue-depth" => f.cfg.queue_depth = num(&mut it, "--queue-depth")?,
-            "--cache-cap" => f.cfg.cache_capacity = num(&mut it, "--cache-cap")?,
-            "--chaos" => f.chaos = true,
             "--verify" => f.verify = true,
             "--http" => f.http = value(&mut it, "--http needs an address")?,
             "--access-log" => f.access_log = value(&mut it, "--access-log needs a path")?,
@@ -487,10 +418,12 @@ fn run_query(args: &[String]) -> i32 {
 /// The catalog service the serving verbs share: telemetry is always
 /// attached (bit-non-perturbing by construction, proven by the serve
 /// test suite), so the `stats` request kind and the flight recorder
-/// work out of the box.
-fn new_catalog_service(cfg: ServeConfig) -> Service<CatalogExecutor> {
+/// work out of the box. Access-log lines are buffered only when
+/// `access_log` says a frontend drains them.
+fn new_catalog_service(cfg: ServeConfig, access_log: bool) -> Service<CatalogExecutor> {
     let mut service = Service::new(CatalogExecutor, cfg);
-    service.set_telemetry(Telemetry::recording(64));
+    let telemetry = Telemetry::recording(64);
+    service.set_telemetry(if access_log { telemetry.with_access_log() } else { telemetry });
     service
 }
 
@@ -499,7 +432,7 @@ fn new_catalog_service(cfg: ServeConfig) -> Service<CatalogExecutor> {
 /// prints on stderr so response bytes on stdout stay untouched; `None`
 /// when the store cannot be opened.
 fn catalog_service(flags: &ServeFlags) -> Option<Service<CatalogExecutor>> {
-    let mut service = new_catalog_service(flags.cfg.clone());
+    let mut service = new_catalog_service(flags.cfg.clone(), flags.access_log.is_some());
     if let Some(path) = &flags.store {
         match pvc_store::Store::open(path, pvc_report::warm::build_fingerprint()) {
             Ok((store, report)) => {
@@ -554,16 +487,12 @@ fn describe_open(report: &pvc_store::OpenReport) -> String {
 fn run_warm(args: &[String]) -> i32 {
     let flags = serve_flags(args, WARM_USAGE);
     let store_path = flags.store.as_deref().unwrap_or("pvc-store.bin");
-    let corpus = if flags.chaos {
-        pvc_report::warm::warm_corpus_with_chaos()
-    } else {
-        pvc_report::warm::warm_corpus()
-    };
+    let corpus = pvc_report::warm::warm_corpus();
     // The whole corpus is one admitted batch: raise the queue so
     // nothing sheds, leave other knobs at defaults.
     let mut cfg = ServeConfig::default();
     cfg.queue_depth = cfg.queue_depth.max(corpus.len());
-    let mut service = new_catalog_service(cfg);
+    let mut service = new_catalog_service(cfg, false);
     let (store, report) =
         match pvc_store::Store::open(store_path, pvc_report::warm::build_fingerprint()) {
             Ok(opened) => opened,

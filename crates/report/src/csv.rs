@@ -2,8 +2,8 @@
 //! suitable for plotting Figure 1 and re-deriving Figures 2–4 exactly
 //! as the paper's artifact appendix describes.
 
+use crate::serve::{serve_artifacts, verb_rows};
 use crate::tables::{table2, table3, table6, ComparisonRow};
-use pvc_memsim::LatsConfig;
 
 fn rows_to_csv(header: &[&str], rows: &[ComparisonRow]) -> String {
     let mut out = String::from("row");
@@ -64,16 +64,18 @@ pub fn table6_csv() -> String {
     )
 }
 
+/// Figure 1 as the `fig1` artifact row serves it: the bytes
+/// `reproduce fig1` prints.
+fn figure1_csv() -> std::io::Result<String> {
+    let mut served = serve_artifacts(&verb_rows("fig1")).map_err(std::io::Error::other)?;
+    Ok(served.remove(0))
+}
+
 /// Writes every CSV artifact (tables II/III/VI + Figure 1) into `dir`;
 /// returns the written paths.
 pub fn write_artifacts(dir: &std::path::Path) -> std::io::Result<Vec<std::path::PathBuf>> {
     std::fs::create_dir_all(dir)?;
-    let fig1 = crate::figdata::figure1_csv(&LatsConfig {
-        min_bytes: 64 * 1024,
-        max_bytes: 1 << 30,
-        points_per_octave: 2,
-        steps: 1 << 13,
-    });
+    let fig1 = figure1_csv()?;
     let files = [
         ("table2.csv", table2_csv()),
         ("table3.csv", table3_csv()),
@@ -115,13 +117,10 @@ mod tests {
             let meta = std::fs::metadata(p).expect("file exists");
             assert!(meta.len() > 100, "{p:?} is non-trivial");
         }
-        // At this sweep's 2^13 steps the chase counts hits from 512 KiB
-        // (1 MiB with H100's 128 B lines) and simulates smaller
-        // footprints. Pinned to the bytes of the chase that simulated
-        // every footprint.
-        let fig1 = std::fs::read(dir.join("figure1.csv")).expect("read figure1.csv");
-        assert_eq!(fig1.len(), 951);
-        assert_eq!(pvc_store::fnv1a64(&fig1), 0x16b0_428e_f40c_1524);
+        // The `fig1` row's bytes, whose digest
+        // `figdata::tests::default_figure1_csv_bytes_are_pinned` pins.
+        let fig1 = std::fs::read_to_string(dir.join("figure1.csv")).expect("read figure1.csv");
+        assert_eq!(fig1, figure1_csv().expect("fig1 serves"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -18,11 +18,14 @@
 //! | `{"kind":"run","workload":W,"system":S}` | one scenario outcome (typed FOM + detail) |
 //! | `{"kind":"run","workload":W,"system":S,"chaos":SPEC}` | the same cell under a fault overlay |
 //! | `{"kind":"list"}` | the full scenario grid with units and citations |
+//! | `{"kind":"report","name":"charts"\|"rooflines"\|"energy"\|"fabric"\|"experiments"\|"conformance"\|"list"}` | what `reproduce <name>` prints, as text |
 //!
-//! The table, figure, ablation, `experiments`, `conformance`, `devices`
-//! and `list` kinds are rows of [`ARTIFACTS`], the one artifact table:
-//! it validates their ids and names, renders them, names the
-//! `reproduce` verb that prints each, and seeds the warm corpus.
+//! The table, figure, ablation, `experiments`, `conformance`, `devices`,
+//! `list` and `report` kinds are rows of [`ARTIFACTS`], the one artifact
+//! table: it validates their ids and names, renders them, names the
+//! `reproduce` verb that prints each, and seeds the warm corpus. Every
+//! `reproduce` verb that prints a paper artifact is a row, so the CLI
+//! prints exactly what a served request answers.
 //!
 //! `SPEC` is a '+'-joined chaos fault-token string (see
 //! [`pvc_arch::chaos::GRAMMAR`], e.g. `"xelink:0:0+clock:1.0"`). The
@@ -43,7 +46,7 @@
 //! boundary.
 
 use crate::scenarios::registry;
-use crate::{ablations, experiments, figdata, profile, tables};
+use crate::{ablations, energy, experiments, fabric_matrix, figdata, profile, tables};
 use pvc_arch::System;
 use pvc_core::json::{Json, ToJson};
 use pvc_memsim::LatsConfig;
@@ -71,7 +74,7 @@ fn kind_cost(req: &Request) -> u64 {
             let modes = req.get("modes").and_then(Json::as_array).map_or(1, <[Json]>::len);
             2 * modes.max(1) as u64
         }
-        "experiments" | "conformance" => 12,
+        "experiments" | "conformance" | "report" => 12,
         _ => 1,
     }
 }
@@ -232,11 +235,20 @@ fn conformance_verdict() -> Result<Json, ScenarioError> {
     Ok(Json::obj(vec![("verdict", Json::Str(line.trim_end().to_string()))]))
 }
 
+/// Both PVC systems' all-pairs bandwidth matrices, each followed by a
+/// blank line.
+fn fabric_matrices() -> String {
+    System::PVC
+        .iter()
+        .map(|&sys| fabric_matrix::render_matrix(sys) + "\n")
+        .collect()
+}
+
 /// Every artifact the catalog renders, in warm-corpus order: the only
 /// list of which tables, figures and ablations exist. Request
 /// validation, atom execution, the `reproduce` artifact verbs and
 /// `reproduce warm` all read it.
-pub static ARTIFACTS: [Artifact; 19] = [
+pub static ARTIFACTS: [Artifact; 26] = [
     row(Some("table1"), "table", Select::Id(1), || text(tables::render_table1())),
     row(Some("table2"), "table", Select::Id(2), || text(tables::render_table2())),
     row(Some("table3"), "table", Select::Id(3), || text(tables::render_table3())),
@@ -266,7 +278,36 @@ pub static ARTIFACTS: [Artifact; 19] = [
     row(None, "conformance", Select::Only, conformance_verdict),
     row(Some("devices"), "devices", Select::Only, || Ok(pvc_arch::query::systems())),
     row(None, "list", Select::Only, || Ok(list_scenarios())),
+    row(Some("charts"), "report", Select::Name("charts"), || {
+        text(figdata::render_figures_ascii())
+    }),
+    row(Some("rooflines"), "report", Select::Name("rooflines"), || {
+        text(tables::render_rooflines())
+    }),
+    row(Some("energy"), "report", Select::Name("energy"), || {
+        text(energy::render_energy_table())
+    }),
+    row(Some("fabric"), "report", Select::Name("fabric"), || text(fabric_matrices())),
+    row(Some("experiments"), "report", Select::Name("experiments"), || {
+        text(experiments::markdown())
+    }),
+    row(Some("conformance"), "report", Select::Name("conformance"), || {
+        text(crate::conformance::markdown().map_err(ScenarioError::BadRequest)?)
+    }),
+    row(Some("list"), "report", Select::Name("list"), || text(list_table())),
 ];
+
+/// The rows `reproduce <verb>` prints: those naming `verb`, and for
+/// `all` every table and figure followed by the experiment record.
+pub fn verb_rows(verb: &str) -> Vec<&'static Artifact> {
+    ARTIFACTS
+        .iter()
+        .filter(|a| match verb {
+            "all" => matches!(a.kind, "table" | "figure") || a.verb == Some("experiments"),
+            _ => a.verb == Some(verb),
+        })
+        .collect()
+}
 
 /// The [`ARTIFACTS`] row `req` names, or `None` when its kind is not an
 /// artifact kind. A table or figure id outside the table's range, or
@@ -391,7 +432,7 @@ fn atoms_typed(req: &Request) -> Result<Vec<Atom>, ScenarioError> {
         }
         other => Err(ScenarioError::bad_request(format!(
             "unknown request kind '{other}'; expected table, figure, ablation, experiments, \
-             conformance, devices, profile, pcie, run or list"
+             conformance, devices, profile, pcie, run, list or report"
         ))),
     }
 }
@@ -459,6 +500,33 @@ fn run_scenario_atom(atom: &Atom) -> Result<Json, ScenarioError> {
         ),
     ));
     Ok(Json::obj(fields))
+}
+
+/// The full grid as the `reproduce list` table: one line per scenario
+/// with its unit, direction and citation, the count, then the chaos
+/// spec grammar every scenario accepts.
+fn list_table() -> String {
+    let reg = registry();
+    let mut out = format!("{:<28} {:<10} {:<5} {}\n", "scenario", "unit", "dir", "citation");
+    for s in reg.iter() {
+        let dir = if s.fom_kind().higher_is_better() { "up" } else { "down" };
+        out.push_str(&format!(
+            "{:<28} {:<10} {:<5} {}\n",
+            s.id().key(),
+            s.unit(),
+            dir,
+            s.citation()
+        ));
+    }
+    out.push_str(&format!("{} scenarios registered\n", reg.len()));
+    out.push_str(
+        "\nevery scenario accepts a chaos overlay: `reproduce chaos <workload> <system> <spec>`\n",
+    );
+    out.push_str("spec grammar ('+'-joined fault tokens):\n");
+    for line in pvc_arch::chaos::GRAMMAR {
+        out.push_str(&format!("  {line}\n"));
+    }
+    out
 }
 
 /// Renders the full grid as structured JSON.
@@ -735,6 +803,7 @@ mod tests {
             (r#"{"kind":"profile","workload":"pcie-h2d","system":"summit"}"#, "unknown system"),
             (r#"{"kind":"run","workload":"warpdrive"}"#, "unknown workload"),
             (r#"{"kind":"run","workload":"stream-triad","system":"h100"}"#, "not registered"),
+            (r#"{"kind":"report","name":"warp"}"#, "unknown report 'warp'"),
         ];
         for (line, needle) in cases {
             let r = s.handle_lines(&[line]).remove(0);
@@ -772,6 +841,16 @@ mod tests {
             (r#"{"kind":"conformance"}"#, verdict.pretty()),
             (r#"{"kind":"devices"}"#, pvc_arch::query::systems_json()),
             (r#"{"kind":"list"}"#, list_scenarios().pretty()),
+            (r#"{"kind":"report","name":"charts"}"#, figdata::render_figures_ascii()),
+            (r#"{"kind":"report","name":"rooflines"}"#, tables::render_rooflines()),
+            (r#"{"kind":"report","name":"energy"}"#, energy::render_energy_table()),
+            (r#"{"kind":"report","name":"fabric"}"#, fabric_matrices()),
+            (r#"{"kind":"report","name":"experiments"}"#, experiments::markdown()),
+            (
+                r#"{"kind":"report","name":"conformance"}"#,
+                crate::conformance::markdown().expect("conformance holds"),
+            ),
+            (r#"{"kind":"report","name":"list"}"#, list_table()),
         ];
         let rows: Vec<&Artifact> = ARTIFACTS.iter().filter(|a| a.verb != Some("fig1")).collect();
         let docs: Vec<String> = rows.iter().map(|a| a.request().compact()).collect();

@@ -14,10 +14,9 @@
 //!   store automatically — stale results can never serve.
 //! * [`warm_corpus`] — the full grid as request documents: every
 //!   row of [`crate::serve::ARTIFACTS`], every registered `run`
-//!   scenario, every canned sweep / profile, and (always) the canned CI
-//!   corpus; [`warm_corpus_with_chaos`] adds a canned chaos corpus on
-//!   top. Deduplicated by canonical content address, so the corpus
-//!   enumerates each computation exactly once.
+//!   scenario, every canned sweep / profile, and the canned CI corpus
+//!   (its one chaos run included). Deduplicated by canonical content
+//!   address, so the corpus enumerates each computation exactly once.
 
 use crate::scenarios::registry;
 use crate::serve::ARTIFACTS;
@@ -28,16 +27,6 @@ use pvc_serve::{fnv1a64, Request};
 /// envelope schema): old stores then invalidate even when the model
 /// constants are unchanged.
 const STORE_SCHEMA: &str = "pvc-store-catalog/v1";
-
-/// The canned chaos corpus `warm --chaos` adds: representative fault
-/// overlays on both PVC systems, all valid against the chaos grammar.
-/// The canned CI chaos request (`hbm:0.5` on Aurora stream-triad) is
-/// part of the always-on corpus already.
-const CHAOS_CORPUS: [(&str, &str); 3] = [
-    ("stream-triad", "hbm:0.5"),
-    ("allreduce", "xelink:0:0.3"),
-    ("peakflops-fp64", "clock:1.0"),
-];
 
 /// The build fingerprint: FNV-1a 64 over the model constants, the
 /// scenario grid and the store schema version. Deterministic across
@@ -76,22 +65,13 @@ pub fn build_fingerprint() -> u64 {
 }
 
 /// Every request document the catalog can answer deterministically:
-/// the artifact table (tables, figures, ablations and the singleton
-/// kinds), the per-system PCIe sweeps, the 63 `run` scenarios, every
-/// registered profile workload, and the canned CI corpus. Deduplicated by
-/// canonical content address; `stats` is excluded by construction
-/// (it is live introspection, never cacheable).
+/// the artifact table (tables, figures, ablations, the singleton kinds
+/// and the `report` texts), the per-system PCIe sweeps, the 63 `run`
+/// scenarios, every registered profile workload, and the canned CI
+/// corpus. Deduplicated by canonical content address; `stats` is
+/// excluded by construction (it is live introspection, never
+/// cacheable).
 pub fn warm_corpus() -> Vec<String> {
-    corpus(false)
-}
-
-/// [`warm_corpus`] plus the canned chaos corpus: degraded variants are
-/// first-class content-addressed results and pre-warm the same way.
-pub fn warm_corpus_with_chaos() -> Vec<String> {
-    corpus(true)
-}
-
-fn corpus(include_chaos: bool) -> Vec<String> {
     // Every paper artifact and singleton kind, in artifact-table order.
     let mut lines: Vec<String> = ARTIFACTS.iter().map(|a| a.request().compact()).collect();
     for sys in System::PVC {
@@ -120,16 +100,6 @@ fn corpus(include_chaos: bool) -> Vec<String> {
     }
     // The canned CI corpus is always warm (it includes one chaos run).
     lines.extend(crate::serve::CANNED_REQUESTS.iter().map(|r| r.to_string()));
-    if include_chaos {
-        for sys in System::PVC {
-            for (workload, spec) in CHAOS_CORPUS {
-                lines.push(format!(
-                    r#"{{"kind":"run","workload":"{workload}","system":"{}","chaos":"{spec}"}}"#,
-                    sys.cli_name()
-                ));
-            }
-        }
-    }
     dedupe_by_key(lines)
 }
 
@@ -155,7 +125,6 @@ fn dedupe_by_key(lines: Vec<String>) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pvc_core::Json;
 
     #[test]
     fn fingerprint_is_stable_and_salt_sensitive() {
@@ -201,24 +170,8 @@ mod tests {
     #[test]
     fn corpus_order_is_pinned() {
         let corpus = warm_corpus();
-        assert_eq!(corpus.len(), 110);
-        assert_eq!(fnv1a64(corpus.join("\n").as_bytes()), 0x94b5_96a3_635c_0ea3);
-        let chaos = warm_corpus_with_chaos();
-        assert_eq!(chaos.len(), 115);
-        assert_eq!(fnv1a64(chaos.join("\n").as_bytes()), 0x7c15_cf09_46f1_0505);
-    }
-
-    #[test]
-    fn chaos_corpus_is_a_strict_superset() {
-        let base = warm_corpus();
-        let chaos = warm_corpus_with_chaos();
-        assert!(chaos.len() > base.len());
-        assert!(chaos.starts_with(&base[..]), "chaos lines append at the end");
-        for line in &chaos[base.len()..] {
-            let req = Request::parse(line).expect("chaos line parses");
-            assert_eq!(req.kind(), "run");
-            assert!(matches!(req.get("chaos"), Some(Json::Str(_))));
-        }
+        assert_eq!(corpus.len(), 117);
+        assert_eq!(fnv1a64(corpus.join("\n").as_bytes()), 0x50e0_bc7c_0753_7184);
     }
 
     #[test]
@@ -226,7 +179,7 @@ mod tests {
         use pvc_serve::Executor;
         let exec = crate::serve::CatalogExecutor;
         let budget = pvc_serve::ServeConfig::default().default_budget;
-        for line in warm_corpus_with_chaos() {
+        for line in warm_corpus() {
             let req = Request::parse(&line).unwrap();
             let cost = exec.cost(&req);
             assert!(

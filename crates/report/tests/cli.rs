@@ -119,6 +119,37 @@ fn csv_writes_artifacts_to_requested_dir() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every `report` row is a verb: `reproduce <name>` prints exactly the
+/// `text` that `reproduce query` answers for the row's request.
+#[test]
+fn report_verbs_print_their_served_text() {
+    let dir = std::env::temp_dir().join("pvc_cli_report_test");
+    let _ = std::fs::remove_dir_all(&dir);
+    let rows = pvc_report::serve::ARTIFACTS.iter().filter(|a| a.kind == "report");
+    let mut verbs = Vec::new();
+    for row in rows {
+        let verb = row.verb.expect("a report row is a verb");
+        let req = write_request(&dir, &format!("{verb}.json"), &row.request().compact());
+        let (envelope, _, ok) = reproduce(&["query", &req]);
+        assert!(ok, "{envelope}");
+        let envelope = pvc_core::json::parse(&envelope).expect("envelope parses");
+        let served = envelope
+            .get("result")
+            .and_then(|r| r.get("text"))
+            .and_then(pvc_core::Json::as_str)
+            .expect("a report result is text");
+        let (printed, stderr, ok) = reproduce(&[verb]);
+        assert!(ok, "{verb}: {stderr}");
+        assert!(printed == served, "{verb} prints what its request answers");
+        verbs.push(verb);
+    }
+    assert_eq!(
+        verbs,
+        ["charts", "rooflines", "energy", "fabric", "experiments", "conformance", "list"]
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn write_request(dir: &std::path::Path, name: &str, body: &str) -> String {
     std::fs::create_dir_all(dir).unwrap();
     let path = dir.join(name);
@@ -178,7 +209,8 @@ fn removed_serving_flags_are_rejected_as_usage_errors() {
     // One process serves one cache, one store and one queue: the raw
     // TCP frontend and the worker-count flag are gone, and asking for either
     // is a usage error (exit 2) rather than a silently ignored knob. Each
-    // serving verb accepts only the flags it reads, and `--budget` is gone.
+    // serving verb accepts only the flags it reads; `--budget`,
+    // `--cache-cap` and `warm --chaos` are gone.
     let dir = std::env::temp_dir().join("pvc_cli_removed_flags_test");
     let _ = std::fs::remove_dir_all(&dir);
     let req = write_request(&dir, "t2.json", r#"{"kind":"table","id":2}"#);
@@ -190,6 +222,10 @@ fn removed_serving_flags_are_rejected_as_usage_errors() {
         vec!["serve", "--rounds", "2"],
         vec!["stats", "--stats"],
         vec!["query", "--budget", "64", req.as_str()],
+        vec!["query", "--cache-cap", "8", req.as_str()],
+        vec!["serve", "--cache-cap", "8"],
+        vec!["stats", "--cache-cap", "8"],
+        vec!["warm", "--chaos"],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
             .args(&args)

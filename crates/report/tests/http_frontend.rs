@@ -12,7 +12,7 @@
 use pvc_core::Json;
 use pvc_report::serve::{CatalogExecutor, CANNED_REQUESTS};
 use pvc_serve::http::serve_http;
-use pvc_serve::{Request, ServeConfig, Service, Telemetry};
+use pvc_serve::{Request, ServeConfig, Service, Telemetry, DETAIL_CAP};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 
@@ -295,14 +295,16 @@ fn hostile_body() -> (String, String) {
     (line, name)
 }
 
-/// The typed answer to [`hostile_body`]: an unknown ablation (the
-/// catalog's planning errors are `failed` envelopes), echoing the whole
-/// name back.
+/// The typed answer to [`hostile_body`]: an unknown ablation is the
+/// client's mistake (`bad_request`). The request echo carries the whole
+/// name; the detail quotes it clipped to `DETAIL_CAP` bytes.
 fn assert_unknown_ablation(envelope: &Json, name: &str) {
     let error = envelope.get("error").expect("an error envelope");
-    assert_eq!(error.get("kind"), Some(&Json::str("failed")));
+    assert_eq!(error.get("kind"), Some(&Json::str("bad_request")));
     let detail = error.get("detail").and_then(Json::as_str).expect("detail");
-    assert_eq!(detail, format!("unknown ablation '{name}'"));
+    assert!(detail.len() <= DETAIL_CAP, "detail is {} bytes", detail.len());
+    let quoted = detail.strip_suffix('…').expect("a clipped detail ends in '…'");
+    assert!(format!("unknown ablation '{name}'").starts_with(quoted));
     let echoed = envelope.get("request").and_then(|r| r.get("name"));
     assert_eq!(echoed, Some(&Json::str(name)));
 }
@@ -330,6 +332,13 @@ fn a_one_mib_query_body_gets_its_envelope_over_http_and_the_server_stays_up() {
     assert_eq!(status, 200);
     let body = String::from_utf8(body).expect("utf8 body");
     assert!(body == want, "the HTTP answer must equal the stdin frontend's line");
+    // The request echoed once, the clipped detail, the envelope fields.
+    assert!(
+        body.len() <= line.len() + DETAIL_CAP + 256,
+        "a {} B request answered with {} B",
+        line.len(),
+        body.len()
+    );
     let envelope = pvc_core::json::parse(body.trim_end()).expect("envelope parses");
     assert_unknown_ablation(&envelope, &name);
     // The same connection is still served.

@@ -15,7 +15,7 @@ fn pin_threads() {
 
 fn service(cfg: ServeConfig) -> Service<CatalogExecutor> {
     let mut s = Service::new(CatalogExecutor, cfg);
-    s.set_telemetry(Telemetry::recording(64));
+    s.set_telemetry(Telemetry::recording(64).with_access_log());
     s
 }
 

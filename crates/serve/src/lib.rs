@@ -93,12 +93,15 @@ impl ServeError {
     }
 
     /// The error as a JSON object (the `error` field of an envelope).
+    /// A `detail` longer than [`DETAIL_CAP`] bytes is clipped on a char
+    /// boundary and ends in `…`: it may quote client input, which the
+    /// envelope's `request` echo already carries in full.
     pub fn to_json(&self) -> pvc_core::Json {
         use pvc_core::Json;
         let mut pairs = vec![("kind", Json::str(self.kind()))];
         match self {
             ServeError::BadRequest(msg) | ServeError::Failed(msg) => {
-                pairs.push(("detail", Json::str(msg.clone())));
+                pairs.push(("detail", Json::Str(clip_detail(msg))));
             }
             ServeError::Overloaded { depth } => {
                 pairs.push(("queue_depth", Json::Int(*depth as i64)));
@@ -110,6 +113,20 @@ impl ServeError {
         }
         Json::obj(pairs)
     }
+}
+
+/// The most bytes of an error envelope's `detail`, `…` included.
+pub const DETAIL_CAP: usize = 8 * 1024;
+
+fn clip_detail(msg: &str) -> String {
+    if msg.len() <= DETAIL_CAP {
+        return msg.to_string();
+    }
+    let mut end = DETAIL_CAP - '…'.len_utf8();
+    while !msg.is_char_boundary(end) {
+        end -= 1;
+    }
+    format!("{}…", &msg[..end])
 }
 
 impl std::fmt::Display for ServeError {
@@ -128,3 +145,26 @@ impl std::fmt::Display for ServeError {
 }
 
 impl std::error::Error for ServeError {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pvc_core::Json;
+
+    #[test]
+    fn long_details_clip_on_a_char_boundary() {
+        let detail = |msg: String| match ServeError::BadRequest(msg).to_json().get("detail") {
+            Some(Json::Str(s)) => s.clone(),
+            other => panic!("no detail: {other:?}"),
+        };
+        let short = "é".repeat(100);
+        assert_eq!(detail(short.clone()), short);
+        // Two-byte chars put the cut inside one on either parity.
+        for pad in ["", "x"] {
+            let clipped = detail(format!("{pad}{}", "é".repeat(DETAIL_CAP)));
+            assert!(clipped.len() <= DETAIL_CAP, "{}", clipped.len());
+            assert!(clipped.len() > DETAIL_CAP - 8);
+            assert!(clipped.ends_with('…'));
+        }
+    }
+}

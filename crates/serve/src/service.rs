@@ -20,18 +20,21 @@
 //!    queue slot either;
 //! 5. identical in-flight requests are collapsed (single-flight) onto
 //!    one computation;
-//! 6. the bounded queue admits at most `queue_depth` unique
+//! 6. the request decomposes into atoms ([`Executor::atoms`]); one the
+//!    executor cannot plan is the client's mistake, answered
+//!    `bad_request` without a queue slot or a per-kind metric;
+//! 7. the bounded queue admits at most `queue_depth` unique
 //!    computations; the rest are shed with a typed
 //!    [`ServeError::Overloaded`];
-//! 7. each admitted request's deterministic cost estimate must fit its
+//! 8. each admitted request's deterministic cost estimate must fit its
 //!    budget (request `budget` field, else the configured default) or
 //!    it is rejected with [`ServeError::DeadlineExceeded`];
-//! 8. admitted requests decompose into atoms, overlapping sweep atoms
-//!    coalesce ([`BatchPlan`]), and the unique atoms execute in
-//!    parallel on [`pvc_core::par`];
-//! 9. atom results merge back per request in index order, then each
-//!    response is committed (disk store, then LRU) and fanned out to
-//!    every waiter in input order.
+//! 9. overlapping sweep atoms of the admitted requests coalesce
+//!    ([`BatchPlan`]), and the unique atoms execute in parallel on
+//!    [`pvc_core::par`];
+//! 10. atom results merge back per request in index order, then each
+//!     response is committed (disk store, then LRU) and fanned out to
+//!     every waiter in input order.
 //!
 //! Every step resolves to a typed [`Outcome`], which is the single
 //! source of truth for the `serve.*` counter spelling and — when a
@@ -76,7 +79,10 @@ pub trait Executor: Sync {
     fn cost(&self, req: &Request) -> u64;
 
     /// Decomposes `req` into ≥ 1 atoms. Equal atom ids across requests
-    /// coalesce into one execution per batch.
+    /// coalesce into one execution per batch. Called at admission,
+    /// before the queue and budget checks: an `Err` means the request
+    /// itself is at fault (unknown kind, name or field) and is answered
+    /// as a `bad_request`.
     fn atoms(&self, req: &Request) -> Result<Vec<Atom>, String>;
 
     /// Executes one atom (called from worker threads; must be pure).
@@ -153,6 +159,25 @@ struct PendingTelemetry {
     /// depends on how the computation resolved.
     waiting: Option<usize>,
     chaos: Option<String>,
+}
+
+impl PendingTelemetry {
+    /// A request answered `bad_request` before admission: it parsed
+    /// (`key`) or not, but either way it has no cost and no queue slot,
+    /// and its kind records as `?` because a client-chosen kind must
+    /// not name anything the service keeps.
+    fn rejected(key: Option<String>) -> Self {
+        PendingTelemetry {
+            kind: "?".to_string(),
+            key,
+            outcome: Outcome::BadRequest,
+            cost: None,
+            budget: None,
+            queue_depth: None,
+            waiting: None,
+            chaos: None,
+        }
+    }
 }
 
 impl<E: Executor> Service<E> {
@@ -276,8 +301,8 @@ impl<E: Executor> Service<E> {
         let recording = self.telemetry.enabled();
         let mut slots: Vec<Slot> = Vec::with_capacity(inputs.len());
         let mut pending: Vec<PendingTelemetry> = Vec::new();
-        // Unique admitted computations, in arrival order.
-        let mut unique: Vec<Request> = Vec::new();
+        // Unique admitted computations and their atoms, in arrival order.
+        let mut unique: Vec<(Request, Vec<Atom>)> = Vec::new();
         for input in &inputs {
             let req = match input {
                 Ok(r) => r,
@@ -285,16 +310,7 @@ impl<E: Executor> Service<E> {
                     self.metrics.count(Outcome::BadRequest.as_metric_name(), 1);
                     slots.push(Slot::Done(err_envelope(None, e)));
                     if recording {
-                        pending.push(PendingTelemetry {
-                            kind: "?".to_string(),
-                            key: None,
-                            outcome: Outcome::BadRequest,
-                            cost: None,
-                            budget: None,
-                            queue_depth: None,
-                            waiting: None,
-                            chaos: None,
-                        });
+                        pending.push(PendingTelemetry::rejected(None));
                     }
                     continue;
                 }
@@ -302,7 +318,9 @@ impl<E: Executor> Service<E> {
             let depth = unique.len() as u64;
             let outcome = self.admit(req, &mut unique, &mut slots);
             self.metrics.count(outcome.as_metric_name(), 1);
-            if recording {
+            if recording && outcome == Outcome::BadRequest {
+                pending.push(PendingTelemetry::rejected(Some(req.key_hex())));
+            } else if recording {
                 let reserved = matches!(outcome, Outcome::Stats | Outcome::Shutdown);
                 let cost = if reserved {
                     None
@@ -337,18 +355,8 @@ impl<E: Executor> Service<E> {
         // Admitted queue depth for this batch, visible in `/metrics`.
         self.metrics.gauge("serve.queue.depth", unique.len() as f64);
 
-        // Decompose admitted requests into atoms; decomposition errors
-        // resolve that request (and its waiters) to a Failed envelope.
-        let mut decomposed: Vec<Result<Vec<Atom>, String>> = Vec::with_capacity(unique.len());
-        for req in &unique {
-            decomposed.push(self.exec.atoms(req));
-        }
-        let plan = BatchPlan::build(
-            decomposed
-                .iter()
-                .map(|d| d.as_ref().cloned().unwrap_or_default())
-                .collect(),
-        );
+        let (unique, planned): (Vec<Request>, Vec<Vec<Atom>>) = unique.into_iter().unzip();
+        let plan = BatchPlan::build(planned);
         self.metrics
             .count("serve.atoms.requested", plan.atoms_requested as u64);
         self.metrics.count("serve.atoms.executed", plan.atoms.len() as u64);
@@ -374,14 +382,11 @@ impl<E: Executor> Service<E> {
         let mut outcomes: Vec<Json> = Vec::with_capacity(unique.len());
         let mut unique_failed: Vec<bool> = Vec::with_capacity(unique.len());
         for (u, req) in unique.iter().enumerate() {
-            let body = match &decomposed[u] {
-                Err(msg) => Err(msg.clone()),
-                Ok(_) => plan.assignments[u]
-                    .iter()
-                    .map(|&a| atom_results[a].clone())
-                    .collect::<Result<Vec<Json>, String>>()
-                    .and_then(|parts| self.exec.assemble(req, parts)),
-            };
+            let body = plan.assignments[u]
+                .iter()
+                .map(|&a| atom_results[a].clone())
+                .collect::<Result<Vec<Json>, String>>()
+                .and_then(|parts| self.exec.assemble(req, parts));
             match body {
                 Ok(body) => {
                     self.commit(req, &body);
@@ -486,7 +491,12 @@ impl<E: Executor> Service<E> {
     /// Runs one parsed request through the admission pipeline, pushing
     /// its slot and returning the decision. `Miss` may still become
     /// `Failed` at assembly time.
-    fn admit(&self, req: &Request, unique: &mut Vec<Request>, slots: &mut Vec<Slot>) -> Outcome {
+    fn admit(
+        &self,
+        req: &Request,
+        unique: &mut Vec<(Request, Vec<Atom>)>,
+        slots: &mut Vec<Slot>,
+    ) -> Outcome {
         if request_kind(req) == STATS_KIND {
             slots.push(Slot::Stats);
             return Outcome::Stats;
@@ -503,11 +513,18 @@ impl<E: Executor> Service<E> {
         }
         if let Some(u) = unique
             .iter()
-            .position(|p| p.key() == req.key() && p.text() == req.text())
+            .position(|(p, _)| p.key() == req.key() && p.text() == req.text())
         {
             slots.push(Slot::Waiting(u));
             return Outcome::Dedup;
         }
+        let atoms = match self.exec.atoms(req) {
+            Ok(atoms) => atoms,
+            Err(msg) => {
+                slots.push(Slot::Done(err_envelope(Some(req), &ServeError::BadRequest(msg))));
+                return Outcome::BadRequest;
+            }
+        };
         if unique.len() >= self.cfg.queue_depth {
             let e = ServeError::Overloaded { depth: self.cfg.queue_depth };
             slots.push(Slot::Done(err_envelope(Some(req), &e)));
@@ -521,7 +538,7 @@ impl<E: Executor> Service<E> {
             return Outcome::Deadline;
         }
         slots.push(Slot::Waiting(unique.len()));
-        unique.push(req.clone());
+        unique.push((req.clone(), atoms));
         Outcome::Miss
     }
 

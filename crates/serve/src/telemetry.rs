@@ -23,7 +23,8 @@ use std::rc::Rc;
 /// derived from this enum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
-    /// The input line did not parse into a request.
+    /// The input line did not parse into a request, or the executor
+    /// could not plan it.
     BadRequest,
     /// Answered from the in-memory LRU result cache.
     Hit,
@@ -116,7 +117,8 @@ impl Outcome {
 pub struct RequestTelemetry {
     /// Monotonic per-recorder sequence number (admission order).
     pub seq: u64,
-    /// The request's `kind` field; `"?"` when the input did not parse.
+    /// The request's `kind` field; `"?"` when the input was answered
+    /// `bad_request`.
     pub kind: String,
     /// Canonical content address (`fnv64:…`) when the input parsed.
     pub key: Option<String>,
@@ -194,7 +196,8 @@ struct Recorder {
     seq: u64,
     ring: VecDeque<RequestTelemetry>,
     last_anomaly: Option<Anomaly>,
-    access_log: String,
+    /// Buffered access-log lines; `None` keeps no log at all.
+    access_log: Option<String>,
 }
 
 /// The telemetry handle: a cheap cloneable recorder reference, or a
@@ -213,7 +216,8 @@ impl Telemetry {
 
     /// A recording handle whose flight recorder retains the last
     /// `cap` request records (plus the most recent anomaly, which is
-    /// pinned independently of the ring).
+    /// pinned independently of the ring). It buffers no access log:
+    /// see [`Telemetry::with_access_log`].
     pub fn recording(cap: usize) -> Self {
         Telemetry {
             inner: Some(Rc::new(RefCell::new(Recorder {
@@ -223,15 +227,27 @@ impl Telemetry {
         }
     }
 
+    /// This handle, also buffering one access-log line per recorded
+    /// request until [`Telemetry::drain_access_log`] takes them. Only a
+    /// frontend that drains the log should ask for it: the buffer grows
+    /// with every request in between.
+    pub fn with_access_log(self) -> Self {
+        if let Some(inner) = &self.inner {
+            inner.borrow_mut().access_log = Some(String::new());
+        }
+        self
+    }
+
     /// True when this handle records.
     pub fn enabled(&self) -> bool {
         self.inner.is_some()
     }
 
     /// Records one resolved request: assigns its sequence number,
-    /// appends the access-log line, pushes it into the flight-recorder
-    /// ring (evicting the oldest past capacity), and — for any outcome
-    /// that did not produce a result — pins the full anomaly trace.
+    /// appends the access-log line when a log is kept, pushes it into
+    /// the flight-recorder ring (evicting the oldest past capacity),
+    /// and — for any outcome that did not produce a result — pins the
+    /// full anomaly trace.
     pub fn record(
         &self,
         mut t: RequestTelemetry,
@@ -242,8 +258,10 @@ impl Telemetry {
         let mut r = inner.borrow_mut();
         t.seq = r.seq;
         r.seq += 1;
-        r.access_log.push_str(&t.to_json().compact());
-        r.access_log.push('\n');
+        if let Some(log) = &mut r.access_log {
+            log.push_str(&t.to_json().compact());
+            log.push('\n');
+        }
         if !t.outcome.is_ok() {
             r.last_anomaly = Some(Anomaly {
                 telemetry: t.clone(),
@@ -272,12 +290,13 @@ impl Telemetry {
 
     /// Takes the accumulated access log (one compact JSON line per
     /// recorded request), leaving the buffer empty. Lets a frontend
-    /// stream the log to a file batch by batch.
+    /// stream the log to a file batch by batch. Empty unless the handle
+    /// was built [`Telemetry::with_access_log`].
     pub fn drain_access_log(&self) -> String {
-        match &self.inner {
-            Some(inner) => std::mem::take(&mut inner.borrow_mut().access_log),
-            None => String::new(),
-        }
+        let Some(inner) = &self.inner else {
+            return String::new();
+        };
+        inner.borrow_mut().access_log.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     /// The flight recorder as a JSON object: the retained records
@@ -378,7 +397,7 @@ mod tests {
 
     #[test]
     fn access_log_lines_are_compact_sorted_json() {
-        let t = Telemetry::recording(8);
+        let t = Telemetry::recording(8).with_access_log();
         t.record(record("table", Outcome::Hit), None, &Json::Null);
         let log = t.drain_access_log();
         assert!(log.ends_with('\n'));

@@ -235,7 +235,7 @@ fn failures_are_enveloped_not_panicked() {
     let s = service(ServeConfig::default());
     let responses = s.handle_lines(&[
         r#"{"kind":"item","n":-4}"#, // atom execution fails
-        r#"{"kind":"mystery"}"#,     // decomposition fails
+        r#"{"kind":"mystery"}"#,     // planning fails: the client's fault
         "not json at all",           // parse fails
         &item(5),                    // healthy neighbour
     ]);
@@ -246,11 +246,41 @@ fn failures_are_enveloped_not_panicked() {
             .map(str::to_string)
     };
     assert_eq!(kind(&responses[0]).as_deref(), Some("failed"));
-    assert_eq!(kind(&responses[1]).as_deref(), Some("failed"));
+    assert_eq!(kind(&responses[1]).as_deref(), Some("bad_request"));
     assert_eq!(kind(&responses[2]).as_deref(), Some("bad_request"));
     assert!(responses[3].get("result").is_some(), "healthy request unaffected");
     // Failed computations are never cached.
     assert_eq!(s.cache_len(), 1);
+}
+
+/// Unplannable requests are rejected before anything is keyed on their
+/// client-chosen kind: however many distinct kinds arrive, the service
+/// keeps the same metric names.
+#[test]
+fn unknown_kinds_leave_the_metric_names_unchanged() {
+    pin_threads();
+    let mut s = service(ServeConfig::default());
+    s.set_telemetry(pvc_serve::Telemetry::recording(8));
+    let names = |s: &Service<Toy>| {
+        let m = s.metrics();
+        let mut names: Vec<String> = m.counters("").into_iter().map(|(n, _)| n).collect();
+        names.extend(m.gauges("").into_iter().map(|(n, _)| n));
+        names.extend(m.histogram_names(""));
+        names
+    };
+    s.handle_lines(&[r#"{"kind":"unknown-0"}"#]);
+    let before = names(&s);
+    let lines: Vec<String> = (1..=1000).map(|i| format!(r#"{{"kind":"unknown-{i}"}}"#)).collect();
+    let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
+    for r in s.handle_lines(&refs) {
+        let kind = r.get("error").and_then(|e| e.get("kind"));
+        assert_eq!(kind, Some(&Json::str("bad_request")), "{}", r.compact());
+    }
+    assert_eq!(names(&s), before);
+    assert_eq!(s.metrics().counter("serve.rejected.bad_request"), 1001);
+    assert_eq!(s.metrics().counter("serve.failed"), 0);
+    let recorded = s.telemetry().recent();
+    assert!(recorded.iter().all(|t| t.kind == "?"), "{recorded:?}");
 }
 
 #[test]

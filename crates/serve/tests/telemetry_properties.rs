@@ -111,7 +111,7 @@ fn telemetry_attachment_is_bit_non_perturbing() {
 fn outcome_counters_match_access_log_exactly() {
     pin_threads();
     let mut s = Service::new(Toy::default(), cfg());
-    s.set_telemetry(Telemetry::recording(32));
+    s.set_telemetry(Telemetry::recording(32).with_access_log());
     let (batch, warm) = mixed_batch();
     s.handle_lines(&[&warm]);
     s.telemetry().drain_access_log(); // drop the warmup line
@@ -158,11 +158,25 @@ fn outcome_counters_match_access_log_exactly() {
     assert_eq!(dedup_line.get("queue_depth"), Some(&Json::Int(2)));
 }
 
+/// A recorder no frontend drains keeps its ring and anomaly but no
+/// access log, so a long session's memory stays bounded.
+#[test]
+fn a_recorder_without_a_log_buffers_no_lines() {
+    pin_threads();
+    let mut s = Service::new(Toy::default(), ServeConfig::default());
+    s.set_telemetry(Telemetry::recording(16));
+    for n in 0..1000 {
+        s.handle_lines(&[&item(n)]);
+    }
+    assert_eq!(s.telemetry().drain_access_log(), "", "no log attached, no bytes buffered");
+    assert_eq!(s.telemetry().recent().len(), 16, "the ring still records");
+}
+
 #[test]
 fn failed_requests_log_failed_and_pin_the_anomaly() {
     pin_threads();
     let mut s = Service::new(Toy::default(), ServeConfig::default());
-    s.set_telemetry(Telemetry::recording(16));
+    s.set_telemetry(Telemetry::recording(16).with_access_log());
     let bad = item(-4);
     let responses = s.handle_lines(&[&bad]);
     let log = s.telemetry().drain_access_log();
@@ -285,7 +299,7 @@ const STORE_FP: u64 = 0x7e57_f19e_4b41_d001;
 fn service_with_store(path: &std::path::Path) -> (Service<Toy>, pvc_store::OpenReport) {
     let (store, report) = pvc_store::Store::open(path, STORE_FP).expect("store opens");
     let mut s = Service::new(Toy::default(), ServeConfig::default());
-    s.set_telemetry(Telemetry::recording(8));
+    s.set_telemetry(Telemetry::recording(8).with_access_log());
     s.attach_store(store, &report);
     (s, report)
 }
@@ -409,7 +423,7 @@ fn access_log_is_deterministic_across_identical_services() {
     pin_threads();
     let run = || {
         let mut s = Service::new(Toy::default(), cfg());
-        s.set_telemetry(Telemetry::recording(16));
+        s.set_telemetry(Telemetry::recording(16).with_access_log());
         let (batch, warm) = mixed_batch();
         s.handle_lines(&[&warm]);
         let refs: Vec<&str> = batch.iter().map(String::as_str).collect();
