@@ -52,8 +52,9 @@ run cmp "$profile_dir/c.out" "$profile_dir/d.out"
 
 # 7. Serving: one-shot queries over three canned requests are
 #    byte-deterministic across processes, the warm round is served from
-#    the cache, and a saturated queue sheds with a typed Overloaded
-#    rejection instead of panicking or blocking.
+#    the cache, a saturated queue sheds with a typed Overloaded
+#    rejection instead of panicking or blocking, and the served `chaos`
+#    and `validate` verbs are byte-deterministic too.
 serve_dir="$(mktemp -d)"
 trap 'rm -rf "$profile_dir" "$serve_dir"' EXIT
 printf '{"kind":"table","id":2}' > "$serve_dir/r1.json"
@@ -77,6 +78,16 @@ overload_rc=$?
 set -e
 test "$overload_rc" -eq 3
 run grep -q '"kind": "overloaded"' "$serve_dir/overload.out"
+# The served verbs: the `chaos` delta report and `validate` print the
+# same bytes from two fresh processes.
+run "$reproduce" chaos allreduce aurora xelink:0:0.3 > "$serve_dir/delta-a.out"
+run "$reproduce" chaos allreduce aurora xelink:0:0.3 > "$serve_dir/delta-b.out"
+run cmp "$serve_dir/delta-a.out" "$serve_dir/delta-b.out"
+run grep -q 'delta:' "$serve_dir/delta-a.out"
+"$reproduce" validate > "$serve_dir/validate-a.out"
+"$reproduce" validate > "$serve_dir/validate-b.out"
+test -s "$serve_dir/validate-a.out"
+run cmp "$serve_dir/validate-a.out" "$serve_dir/validate-b.out"
 
 # 8. Scenario registry: `reproduce list` enumerates the full grid (61
 #    standard pairs + the figure pipeline on both PVC systems = 63) with
@@ -85,8 +96,10 @@ run "$reproduce" list > "$serve_dir/list.out"
 run grep -q '^63 scenarios registered$' "$serve_dir/list.out"
 run grep -q 'stream-triad@aurora' "$serve_dir/list.out"
 run grep -q 'GB/s' "$serve_dir/list.out"
-run "$reproduce" run stream-triad aurora > "$serve_dir/run-a.out"
-run "$reproduce" run stream-triad aurora > "$serve_dir/run-b.out"
+# Called without `run`, whose echo would land in the file: gate 13
+# compares run-a.out with the HTTP frontend's text byte for byte.
+"$reproduce" run stream-triad aurora > "$serve_dir/run-a.out"
+"$reproduce" run stream-triad aurora > "$serve_dir/run-b.out"
 test -s "$serve_dir/run-a.out"
 run cmp "$serve_dir/run-a.out" "$serve_dir/run-b.out"
 
@@ -108,7 +121,7 @@ run grep -q '"name": "serve/allocate_1k_flows"' "$serve_dir/BENCH_serve.json"
 #     a figure of merit (direction-aware, composition included), and the
 #     degraded query path is byte-deterministic end to end — the same
 #     chaos request served by two fresh processes produces identical
-#     bytes, as does the `reproduce chaos` delta report.
+#     bytes (gate 7 does the same for the `reproduce chaos` report).
 run cargo test --offline --release -q --test chaos_properties
 printf '{"kind":"run","workload":"stream-triad","system":"aurora","chaos":"hbm:0.5"}' \
   > "$serve_dir/chaos.json"
@@ -117,10 +130,6 @@ run "$reproduce" query "$serve_dir/chaos.json" > "$serve_dir/chaos-b.out" 2> /de
 test -s "$serve_dir/chaos-a.out"
 run cmp "$serve_dir/chaos-a.out" "$serve_dir/chaos-b.out"
 run grep -q '"chaos": "hbm:0.5"' "$serve_dir/chaos-a.out"
-run "$reproduce" chaos allreduce aurora xelink:0:0.3 > "$serve_dir/delta-a.out"
-run "$reproduce" chaos allreduce aurora xelink:0:0.3 > "$serve_dir/delta-b.out"
-run cmp "$serve_dir/delta-a.out" "$serve_dir/delta-b.out"
-run grep -q 'delta:' "$serve_dir/delta-a.out"
 
 # 11. Telemetry: a serve session answers the reserved `stats` kind with
 #     the live registry, the structured access log and the stats
@@ -192,7 +201,9 @@ run grep -q 'fingerprint mismatch, store reset' "$store_dir/salted.out"
 # 13. HTTP frontend: `serve --http` boots a keep-alive HTTP/1.1
 #     server. The canned batch POSTed twice over ONE connection answers
 #     byte-identically to the stdin frontend; /metrics exposes the
-#     `serve.*` counters; a queue-depth-1 server sheds (three distinct
+#     `serve.*` counters; /trace answers gate 6's `profile pcie-h2d`
+#     file and /run with `Accept: text/plain` gate 8's `reproduce run`
+#     stdout, byte for byte; a queue-depth-1 server sheds (three distinct
 #     keys on one slot shed two) with a typed body and counter; and a
 #     POST to /shutdown stops the accept loop gracefully (exit 0).
 http_dir="$(mktemp -d)"
@@ -218,14 +229,18 @@ boot_http() {  # boot_http <logfile> <extra flags...>; sets http_pid and http_ad
   test -n "$http_addr"
 }
 boot_http "$http_dir/http.log"
-# One curl process, one keep-alive connection, four requests on it.
+# One curl process, one keep-alive connection, six requests on it.
 run curl -sS -o "$http_dir/q1.out" --data-binary "@$http_dir/batch.json" "http://$http_addr/query" \
   --next -o "$http_dir/q2.out" --data-binary "@$http_dir/batch.json" "http://$http_addr/query" \
   --next -o "$http_dir/metrics.out" "http://$http_addr/metrics" \
+  --next -o "$http_dir/trace.json" "http://$http_addr/trace/pcie-h2d/aurora" \
+  --next -o "$http_dir/run.txt" -H 'Accept: text/plain' "http://$http_addr/run/stream-triad/aurora" \
   --next -o /dev/null -X POST "http://$http_addr/shutdown"
 run cmp "$http_dir/q1.out" "$http_dir/q2.out"
 run cmp "$http_dir/q1.out" "$http_dir/stdin.out"
 run grep -q '^serve_requests ' "$http_dir/metrics.out"
+run cmp "$http_dir/trace.json" "$profile_dir/a.json"
+run cmp "$http_dir/run.txt" "$serve_dir/run-a.out"
 wait "$http_pid"   # /shutdown exits the accept loop with status 0
 http_pid=""
 # Overload: a single-slot queue admits one of the three keys and sheds

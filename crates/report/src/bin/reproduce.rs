@@ -23,17 +23,23 @@
 //! experiment record. `conformance` exits 1 when a golden expectation
 //! fails.
 //!
-//! The other verbs take arguments, write files or gate on an exit
-//! status. `csv` writes the table CSVs and Figure 1's served CSV into
-//! a directory. `validate` exits 1 unless every published cell is
-//! within 8% and conformance holds. `run` executes one scenario and
-//! prints its typed outcome. `chaos` runs one scenario twice — healthy
-//! and under a '+'-joined fault-spec overlay (e.g. `xelink:0:0`,
-//! `pcie:3x8+clock:1.0`) — and prints the FOM delta plus which resource
-//! was the bottleneck of each run. `profile` runs one workload under
-//! the deterministic virtual-time tracer and writes a Chrome-trace JSON
-//! file (default `profile-<workload>.json`), then prints the top-N span
-//! table and the metrics summary.
+//! The verbs that take arguments are served requests too, through
+//! [`pvc_report::serve::serve_requests`]. `run` prints the `text` of
+//! `{"kind":"run","workload":W,"system":S}`: the typed outcome. `chaos`
+//! prints the `text` of `{"kind":"chaos",…,"chaos":SPEC}`: the cell run
+//! twice — healthy and under a '+'-joined fault-spec overlay (e.g.
+//! `xelink:0:0`, `pcie:3x8+clock:1.0`) — with the FOM delta and the
+//! bottleneck of each run; it exits 1 when the degraded run beats the
+//! baseline. `validate` filters the `experiments` and `conformance`
+//! answers: it exits 1 unless every published cell is within 8% and
+//! conformance holds. `profile` serves `profile` and `trace` for one
+//! workload on one simulation, writes the Chrome-trace JSON file
+//! (default `profile-<workload>.json`), then prints the top-N span
+//! table and the metrics summary. A request the catalog refuses as a
+//! `bad_request` prints its error envelope on stderr and exits 2 (with
+//! the chaos grammar or the profile catalog as a hint); any other error
+//! envelope exits 1. `csv` writes the table CSVs and Figure 1's served
+//! CSV into a directory.
 //!
 //! `query` is the one-shot service frontend: every file is one request
 //! document, all files form one admitted batch, and the canonical
@@ -74,8 +80,10 @@
 //! different build fingerprint is detected at open and reset
 //! automatically.
 
-use pvc_report::experiments;
-use pvc_report::serve::{serve_artifacts, verb_rows, CatalogExecutor, CANNED_REQUESTS};
+use pvc_core::Json;
+use pvc_report::serve::{
+    serve_artifacts, serve_requests, verb_rows, CatalogExecutor, CANNED_REQUESTS,
+};
 use pvc_serve::{Request, ServeConfig, Service, Telemetry};
 use std::io::{BufRead, Write};
 
@@ -121,153 +129,7 @@ fn main() {
                 }
             }
         }
-        "validate" => {
-            let records = experiments::collect();
-            let mut failures = 0usize;
-            let mut compared = 0usize;
-            for r in &records {
-                if let Some(e) = r.rel_err {
-                    compared += 1;
-                    if e > 0.08 {
-                        failures += 1;
-                        eprintln!(
-                            "FAIL {} / {} / {}: {:.1}% error",
-                            r.element, r.row, r.column, e * 100.0
-                        );
-                    }
-                }
-            }
-            out.push_str(&format!(
-                "validated {compared} published cells against the model; {failures} outside 8%\n"
-            ));
-            match pvc_report::conformance::verdict() {
-                Ok(line) => out.push_str(&line),
-                Err(msg) => {
-                    eprint!("{msg}");
-                    failures += 1;
-                }
-            }
-            if failures > 0 {
-                print!("{out}");
-                std::process::exit(1);
-            }
-        }
-        "run" => {
-            let (Some(workload), Some(system)) = (args.get(1), args.get(2)) else {
-                eprintln!("usage: reproduce run <workload> <system>");
-                eprintln!("see `reproduce list` for the registered pairs");
-                std::process::exit(2);
-            };
-            let system: pvc_arch::System = or_usage(system.parse());
-            let outcome = or_usage(pvc_report::scenarios::registry().run(workload, system));
-            let scenario = pvc_report::scenarios::registry()
-                .get(workload, system)
-                .expect("scenario just ran");
-            let dir = if scenario.fom_kind().higher_is_better() {
-                "higher is better"
-            } else {
-                "lower is better"
-            };
-            out.push_str(&format!("{}: {} ({dir})\n", outcome.id, outcome.fom));
-            out.push_str(&format!("  citation: {}\n", scenario.citation()));
-            for (key, value) in &outcome.detail {
-                out.push_str(&format!("  {key} = {value}\n"));
-            }
-        }
-        "chaos" => {
-            let (Some(workload), Some(system), Some(spec)) =
-                (args.get(1), args.get(2), args.get(3))
-            else {
-                eprintln!("usage: reproduce chaos <workload> <system> <spec>");
-                eprintln!("spec grammar ('+'-joined fault tokens):");
-                for line in pvc_arch::chaos::GRAMMAR {
-                    eprintln!("  {line}");
-                }
-                std::process::exit(2);
-            };
-            let system: pvc_arch::System = or_usage(system.parse());
-            let spec = match spec.parse::<pvc_scenario::ChaosSpec>() {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("invalid chaos spec '{spec}': {e}");
-                    eprintln!("spec grammar ('+'-joined fault tokens):");
-                    for line in pvc_arch::chaos::GRAMMAR {
-                        eprintln!("  {line}");
-                    }
-                    std::process::exit(2);
-                }
-            };
-            let reg = pvc_report::scenarios::registry();
-            let run = or_usage(pvc_scenario::run_with_chaos(reg, workload, system, &spec));
-            let dir = if run.baseline.fom.kind().higher_is_better() {
-                "higher is better"
-            } else {
-                "lower is better"
-            };
-            out.push_str(&format!(
-                "chaos report: {} under '{}'\n",
-                run.baseline.id,
-                run.spec.canonical()
-            ));
-            let side = |label: &str, o: &pvc_scenario::Outcome, b: &Option<String>| {
-                let bn = b.as_deref().unwrap_or("none traced");
-                format!("  {label:<9} {} ({dir})  [bottleneck: {bn}]\n", o.fom)
-            };
-            out.push_str(&side("baseline:", &run.baseline, &run.baseline_bottleneck));
-            out.push_str(&side("degraded:", &run.degraded, &run.degraded_bottleneck));
-            match run.delta_fraction() {
-                Some(d) => out.push_str(&format!("  delta:    {:+.1}%\n", d * 100.0)),
-                None => out.push_str(
-                    "  delta:    n/a (zero or non-finite endpoint — e.g. stranded transfers)\n",
-                ),
-            }
-            if run.baseline_bottleneck != run.degraded_bottleneck {
-                out.push_str(&format!(
-                    "  bottleneck shifted: {} -> {}\n",
-                    run.baseline_bottleneck.as_deref().unwrap_or("none"),
-                    run.degraded_bottleneck.as_deref().unwrap_or("none")
-                ));
-            } else {
-                out.push_str("  bottleneck unchanged\n");
-            }
-            if !run.degraded_no_better() {
-                eprintln!("chaos invariant violated: degraded FOM beats baseline");
-                print!("{out}");
-                std::process::exit(1);
-            }
-        }
-        "profile" => {
-            let Some(workload) = args.get(1) else {
-                eprintln!("usage: reproduce profile <workload> [outfile]");
-                eprintln!("workloads:");
-                for (name, desc) in pvc_report::profile::workloads(pvc_arch::System::Aurora) {
-                    eprintln!("  {name:<12} {desc}");
-                }
-                std::process::exit(2);
-            };
-            let artifact = or_usage(pvc_report::profile::run(workload, pvc_arch::System::Aurora));
-            let events = match artifact.validate() {
-                Ok(n) => n,
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(1);
-                }
-            };
-            let path = args
-                .get(2)
-                .cloned()
-                .unwrap_or_else(|| format!("profile-{workload}.json"));
-            if let Err(e) = std::fs::write(&path, &artifact.trace_json) {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-            out.push_str(&format!(
-                "wrote {path} ({events} trace events, valid JSON)\n\n"
-            ));
-            out.push_str(&artifact.top);
-            out.push('\n');
-            out.push_str(&artifact.summary);
-        }
+        "run" | "chaos" | "validate" | "profile" => std::process::exit(run_served(what, &args)),
         "query" => {
             std::process::exit(run_query(&args[1..]));
         }
@@ -290,12 +152,153 @@ fn main() {
     print!("{out}");
 }
 
-/// The value, or the error on stderr and exit 2 (a usage error).
-fn or_usage<T, E: std::fmt::Display>(r: Result<T, E>) -> T {
-    r.unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    })
+/// A request document whose fields are all strings.
+fn request(pairs: &[(&str, &str)]) -> Json {
+    Json::obj(pairs.iter().map(|&(k, v)| (k, Json::str(v))).collect())
+}
+
+/// A string field of a served result ("" when absent).
+fn field<'a>(result: &'a Json, name: &str) -> &'a str {
+    result.get(name).and_then(Json::as_str).unwrap_or_default()
+}
+
+/// Prints `verb`'s usage line and hint on stderr.
+fn usage(verb: &str) {
+    let args = match verb {
+        "run" => "<workload> <system>",
+        "chaos" => "<workload> <system> <spec>",
+        _ => "<workload> [outfile]",
+    };
+    eprintln!("usage: reproduce {verb} {args}");
+    hint(verb);
+}
+
+/// What follows `verb`'s usage line or a `bad_request` envelope on
+/// stderr: where the registered pairs are, the chaos spec grammar, or
+/// the profile workload catalog.
+fn hint(verb: &str) {
+    match verb {
+        "run" => eprintln!("see `reproduce list` for the registered pairs"),
+        "chaos" => {
+            eprintln!("spec grammar ('+'-joined fault tokens):");
+            for line in pvc_arch::chaos::GRAMMAR {
+                eprintln!("  {line}");
+            }
+        }
+        "profile" => {
+            eprintln!("workloads:");
+            for (name, desc) in pvc_report::profile::workloads(pvc_arch::System::Aurora) {
+                eprintln!("  {name:<12} {desc}");
+            }
+        }
+        _ => {}
+    }
+}
+
+/// The error envelope on stderr; exit 2 when the client was at fault
+/// (`bad_request`, followed by the verb's hint), else 1.
+fn refused(verb: &str, envelope: &Json) -> i32 {
+    eprintln!("{}", envelope.pretty());
+    let kind = envelope.get("error").and_then(|e| e.get("kind"));
+    if kind.and_then(Json::as_str) == Some("bad_request") {
+        hint(verb);
+        2
+    } else {
+        1
+    }
+}
+
+/// `run`, `chaos`, `validate` and `profile`: the verb's requests, built
+/// from its arguments, served as one batch and printed. Returns the
+/// exit status.
+fn run_served(verb: &str, args: &[String]) -> i32 {
+    let arg = |i: usize| args.get(i).map(String::as_str);
+    let docs = match (verb, arg(1), arg(2), arg(3)) {
+        ("run", Some(w), Some(s), _) => {
+            vec![request(&[("kind", "run"), ("workload", w), ("system", s)])]
+        }
+        ("chaos", Some(w), Some(s), Some(spec)) => vec![request(&[
+            ("kind", "chaos"),
+            ("workload", w),
+            ("system", s),
+            ("chaos", spec),
+        ])],
+        ("validate", ..) => {
+            vec![request(&[("kind", "experiments")]), request(&[("kind", "conformance")])]
+        }
+        ("profile", Some(w), ..) => ["profile", "trace"]
+            .iter()
+            .map(|&kind| request(&[("kind", kind), ("workload", w), ("system", "aurora")]))
+            .collect(),
+        _ => {
+            usage(verb);
+            return 2;
+        }
+    };
+    let mut served = serve_requests(docs).into_iter();
+    let first = match served.next().expect("one answer per request") {
+        Ok(result) => result,
+        Err(envelope) => return refused(verb, &envelope),
+    };
+    match verb {
+        "validate" => {
+            let mut failures = 0usize;
+            let mut compared = 0usize;
+            for r in first.as_array().unwrap_or_default() {
+                if let Some(e) = r.get("rel_err").and_then(Json::as_num) {
+                    compared += 1;
+                    if e > 0.08 {
+                        failures += 1;
+                        eprintln!(
+                            "FAIL {} / {} / {}: {:.1}% error",
+                            field(r, "element"),
+                            field(r, "row"),
+                            field(r, "column"),
+                            e * 100.0
+                        );
+                    }
+                }
+            }
+            println!(
+                "validated {compared} published cells against the model; {failures} outside 8%"
+            );
+            match served.next().expect("the conformance answer") {
+                Ok(verdict) => println!("{}", field(&verdict, "verdict")),
+                Err(envelope) => {
+                    eprintln!("{}", envelope.pretty());
+                    failures += 1;
+                }
+            }
+            i32::from(failures > 0)
+        }
+        "profile" => {
+            let trace = match served.next().expect("the trace answer") {
+                Ok(result) => result,
+                Err(envelope) => return refused(verb, &envelope),
+            };
+            let path = args
+                .get(2)
+                .cloned()
+                .unwrap_or_else(|| format!("profile-{}.json", args[1]));
+            if let Err(e) = std::fs::write(&path, field(&trace, "trace")) {
+                eprintln!("failed to write {path}: {e}");
+                return 1;
+            }
+            let events = first.get("trace_events").map(Json::compact).unwrap_or_default();
+            println!("wrote {path} ({events} trace events, valid JSON)\n");
+            println!("{}", field(&first, "top"));
+            print!("{}", field(&first, "summary"));
+            0
+        }
+        _ => {
+            print!("{}", field(&first, "text"));
+            if first.get("degraded_no_better") == Some(&Json::Bool(false)) {
+                eprintln!("chaos invariant violated: degraded FOM beats baseline");
+                return 1;
+            }
+            0
+        }
+    }
 }
 
 /// The flags of the serving verbs (`query`, `serve`, `stats`, `warm`).

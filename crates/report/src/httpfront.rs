@@ -16,15 +16,19 @@
 //! | `GET /figure/<1-4>` | `{"kind":"figure","id":N}` |
 //! | `GET /ablation/<name>` | `{"kind":"ablation","name":…}` |
 //! | `GET /run/<workload>/<system>` | `{"kind":"run",…}` |
-//! | `GET /trace/<workload>/<system>` | Chrome-trace JSON from the deterministic profiler |
+//! | `GET /trace/<workload>/<system>` | `{"kind":"trace",…}`: the profile run's Chrome trace |
 //! | `POST /shutdown` | the reserved `{"kind":"shutdown"}` request; stops the accept loop |
 //!
-//! Content negotiation (the `Accept` header) on the catalog routes:
-//! `text/plain` unwraps the result's rendered `text` field, `text/csv`
-//! its `csv` field, anything else answers the canonical JSON envelope.
+//! Every catalog route, `/trace` included, is one request through the
+//! service: admitted, priced, cached and counted like a `POST /query`.
+//! A request the service refuses answers 400 with its JSON error
+//! envelope. Content negotiation (the `Accept` header): a trace result
+//! answers its Chrome-trace document as `application/x-chrome-trace`
+//! when asked for, else as `application/json`; otherwise `text/plain`
+//! unwraps the result's rendered `text` field, `text/csv` its `csv`
+//! field, and anything else answers the canonical JSON envelope.
 //! `POST /query` always answers the raw frontend bytes (that route's
-//! whole point is byte-identity with the stdin loop); the trace route
-//! honours `application/x-chrome-trace`.
+//! whole point is byte-identity with the stdin loop).
 
 use crate::serve::CatalogExecutor;
 use pvc_core::Json;
@@ -49,7 +53,7 @@ pvc-serve HTTP frontend — deterministic paper-catalog queries
   GET  /table/<1-6>               rendered paper table   (Accept: text/plain for raw text)
   GET  /figure/<1-4>              figure data            (figure 1 negotiates text/csv)
   GET  /ablation/<name>           governor|pcie|congestion|plane|scaling
-  GET  /run/<workload>/<system>   one scenario outcome (JSON)
+  GET  /run/<workload>/<system>   one scenario outcome   (Accept: text/plain for the report)
   GET  /trace/<workload>/<system> Chrome-trace JSON from the virtual-time profiler
   POST /shutdown                  graceful shutdown (drains, then stops accepting)
 ";
@@ -89,16 +93,15 @@ pub fn handle(
                 ("name", Json::str(*name)),
             ])),
         ),
-        ("GET", ["run", workload, system]) => catalog(
+        ("GET", [kind @ ("run" | "trace"), workload, system]) => catalog(
             service,
             req,
             Ok(Json::obj(vec![
-                ("kind", Json::str("run")),
+                ("kind", Json::str(*kind)),
                 ("workload", Json::str(*workload)),
                 ("system", Json::str(*system)),
             ])),
         ),
-        ("GET", ["trace", workload, system]) => trace(req, workload, system),
         ("GET" | "POST" | "HEAD" | "PUT" | "DELETE", _) => {
             (HttpResponse::error(404, "no such route; GET / lists the endpoints"), After::Continue)
         }
@@ -158,6 +161,10 @@ fn catalog(
         );
     };
     let accept = http.accept();
+    if let Some(Json::Str(trace)) = result.get("trace") {
+        let ct = if accept.contains(CT_TRACE) { CT_TRACE } else { CT_JSON };
+        return (HttpResponse::ok(ct, trace.clone().into_bytes()), After::Continue);
+    }
     if accept.contains("text/csv") {
         if let Some(Json::Str(csv)) = result.get("csv") {
             return (HttpResponse::ok(CT_CSV, csv.clone().into_bytes()), After::Continue);
@@ -172,26 +179,6 @@ fn catalog(
         }
     }
     (json_line(&envelope), After::Continue)
-}
-
-/// `GET /trace/<workload>/<system>`: the deterministic profiler's
-/// Chrome-trace artifact. Served outside the service (the artifact
-/// is a rendering, not a cacheable catalog result) but validated the
-/// same way `reproduce profile` validates it.
-fn trace(http: &HttpRequest, workload: &str, system: &str) -> (HttpResponse, After) {
-    let system: pvc_arch::System = match system.parse() {
-        Ok(s) => s,
-        Err(e) => return (HttpResponse::error(400, &format!("{e}")), After::Continue),
-    };
-    let artifact = match crate::profile::run(workload, system) {
-        Ok(a) => a,
-        Err(e) => return (HttpResponse::error(400, &format!("{e}")), After::Continue),
-    };
-    if let Err(e) = artifact.validate() {
-        return (HttpResponse::error(500, &e), After::Continue);
-    }
-    let ct = if http.accept().contains(CT_TRACE) { CT_TRACE } else { CT_JSON };
-    (HttpResponse::ok(ct, artifact.trace_json.into_bytes()), After::Continue)
 }
 
 /// A canonical-envelope JSON response line (stdin-frontend framing).

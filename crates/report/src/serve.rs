@@ -14,9 +14,11 @@
 //! | `{"kind":"conformance"}` | golden-expectation verdict line |
 //! | `{"kind":"devices"}` | clinfo-style model dump, structured |
 //! | `{"kind":"profile","workload":W,"system":S}` | profile top table + metrics summary |
+//! | `{"kind":"trace","workload":W,"system":S}` | `{"trace":…}`: the same profile run's Chrome trace |
 //! | `{"kind":"pcie","system":S,"modes":["h2d","d2h","bidir"]}` | bandwidth triplets per mode (sweep) |
-//! | `{"kind":"run","workload":W,"system":S}` | one scenario outcome (typed FOM + detail) |
+//! | `{"kind":"run","workload":W,"system":S}` | one scenario outcome (typed FOM + detail) and its `text` |
 //! | `{"kind":"run","workload":W,"system":S,"chaos":SPEC}` | the same cell under a fault overlay |
+//! | `{"kind":"chaos","workload":W,"system":S,"chaos":SPEC}` | `{"text":…,"degraded_no_better":bool}`: the traced baseline/degraded delta report |
 //! | `{"kind":"list"}` | the full scenario grid with units and citations |
 //! | `{"kind":"report","name":"charts"\|"rooflines"\|"energy"\|"fabric"\|"experiments"\|"conformance"\|"list"}` | what `reproduce <name>` prints, as text |
 //!
@@ -38,8 +40,13 @@
 //! the generic `run` atoms — is keyed on its [`pvc_scenario::ScenarioId`]
 //! (`run:<workload>@<system>`), so overlapping sweeps and single-scenario
 //! runs in one batch coalesce onto the same simulation, across request
-//! kinds. Every other kind is a single atom and benefits from
-//! single-flight dedup and the LRU cache.
+//! kinds. A run's `text` is rendered from the typed outcome when the
+//! atom runs, so a non-finite FOM prints as `inf` although its JSON
+//! `value` is `null`. `profile` and `trace` share one
+//! `profile:<id>` atom whose result carries the trace too; `assemble`
+//! drops it from a profile answer and keeps only it in a trace answer.
+//! Every other kind is a single atom and benefits from single-flight
+//! dedup and the LRU cache.
 //!
 //! Errors are typed [`ScenarioError`]s end to end inside this module;
 //! they convert to `String` only at the `pvc_serve::Executor` trait
@@ -50,7 +57,7 @@ use crate::{ablations, energy, experiments, fabric_matrix, figdata, profile, tab
 use pvc_arch::System;
 use pvc_core::json::{Json, ToJson};
 use pvc_memsim::LatsConfig;
-use pvc_scenario::{ChaosSpec, Ctx, ScenarioError};
+use pvc_scenario::{ChaosSpec, Ctx, Outcome, Scenario, ScenarioError};
 use pvc_serve::{Atom, Executor, Request, ServeConfig, Service};
 
 /// The executor serving the paper catalog.
@@ -69,7 +76,8 @@ fn kind_cost(req: &Request) -> u64 {
             _ => 3,
         },
         "ablation" | "run" => 4,
-        "profile" => 8,
+        // Two traced runs of one cell; a traced profile run.
+        "chaos" | "profile" | "trace" => 8,
         "pcie" => {
             let modes = req.get("modes").and_then(Json::as_array).map_or(1, <[Json]>::len);
             2 * modes.max(1) as u64
@@ -131,18 +139,31 @@ fn chaos_from(req: &Request) -> Result<Option<ChaosSpec>, ScenarioError> {
     }
 }
 
+/// Sheds a spec `system` cannot apply at admission with the typed
+/// error, so an atom that reaches execution can always apply.
+fn applies(spec: &ChaosSpec, system: System) -> Result<(), ScenarioError> {
+    spec.apply(system.node()).map(drop).map_err(|e| {
+        ScenarioError::bad_request(format!(
+            "chaos spec '{}' rejected for {}: {e}",
+            spec.canonical(),
+            system.cli_name()
+        ))
+    })
+}
+
 /// One atom per scenario, keyed on the [`pvc_scenario::ScenarioId`]
 /// grid key so identical scenarios coalesce across request kinds. A
 /// chaos overlay joins the key in canonical spelling
 /// (`run:<slug>@<system>+chaos:<spec>`): degraded variants never
-/// coalesce with the baseline or with differently-degraded atoms.
-fn scenario_atom(slug: &str, system: System, chaos: Option<&ChaosSpec>) -> Atom {
+/// coalesce with the baseline or with differently-degraded atoms. `op`
+/// is `run` or `chaos` (the baseline/degraded delta report).
+fn scenario_atom(op: &str, slug: &str, system: System, chaos: Option<&ChaosSpec>) -> Atom {
     let mut pairs = vec![
-        ("op", Json::str("run")),
+        ("op", Json::str(op)),
         ("workload", Json::str(slug)),
         ("system", Json::str(system.cli_name())),
     ];
-    let mut id = format!("run:{slug}@{}", system.cli_name());
+    let mut id = format!("{op}:{slug}@{}", system.cli_name());
     if let Some(spec) = chaos {
         let canon = spec.canonical();
         id.push_str("+chaos:");
@@ -336,20 +357,26 @@ fn artifact_for(req: &Request) -> Result<Option<&'static Artifact>, ScenarioErro
     })
 }
 
-/// Serves `rows` as one batch through a fresh catalog service (default
-/// knobs, no store) and returns what `reproduce` prints for each: the
-/// result's `text`, else its `csv`, else its pretty JSON. The first
-/// error envelope comes back pretty-printed as `Err`.
-pub fn serve_artifacts(rows: &[&Artifact]) -> Result<Vec<String>, String> {
+/// Serves `docs` as one batch through a fresh catalog service (default
+/// knobs, no store): each request's result, or its error envelope as
+/// `Err`. The `reproduce` verbs that print a catalog answer call this.
+pub fn serve_requests(docs: Vec<Json>) -> Vec<Result<Json, Json>> {
     let service = Service::new(CatalogExecutor, ServeConfig::default());
-    let batch = rows.iter().map(|a| Request::from_json(a.request())).collect();
     service
-        .handle_batch(batch)
+        .handle_batch(docs.into_iter().map(Request::from_json).collect())
         .into_iter()
-        .map(|envelope| {
-            let Some(result) = envelope.get("result") else {
-                return Err(envelope.pretty());
-            };
+        .map(|envelope| envelope.get("result").cloned().ok_or(envelope))
+        .collect()
+}
+
+/// Serves `rows` as one batch and returns what `reproduce` prints for
+/// each: the result's `text`, else its `csv`, else its pretty JSON. The
+/// first error envelope comes back pretty-printed as `Err`.
+pub fn serve_artifacts(rows: &[&Artifact]) -> Result<Vec<String>, String> {
+    serve_requests(rows.iter().map(|a| a.request()).collect())
+        .into_iter()
+        .map(|served| {
+            let result = served.map_err(|envelope| envelope.pretty())?;
             Ok(match (result.get("text"), result.get("csv")) {
                 (Some(Json::Str(s)), _) | (None, Some(Json::Str(s))) => s.clone(),
                 _ => result.pretty(),
@@ -361,9 +388,9 @@ pub fn serve_artifacts(rows: &[&Artifact]) -> Result<Vec<String>, String> {
 fn atoms_typed(req: &Request) -> Result<Vec<Atom>, ScenarioError> {
     // Chaos overlays only make sense on scenario runs; a stray field on
     // any other kind is a typed rejection, not a silent ignore.
-    if req.get("chaos").is_some() && req.kind() != "run" {
+    if req.get("chaos").is_some() && !matches!(req.kind(), "run" | "chaos") {
         return Err(ScenarioError::bad_request(format!(
-            "'chaos' is only supported on run requests, not '{}'",
+            "'chaos' is only supported on run requests (and the chaos kind), not '{}'",
             req.kind()
         )));
     }
@@ -371,9 +398,11 @@ fn atoms_typed(req: &Request) -> Result<Vec<Atom>, ScenarioError> {
         return Ok(vec![artifact.atom()]);
     }
     match req.kind() {
-        "profile" => {
+        // A trace is the profile run's Chrome trace: both kinds share
+        // one atom, and `assemble` projects each kind's fields from it.
+        kind @ ("profile" | "trace") => {
             let sys = system_from(req)?;
-            let workload = str_field(req, "workload", "profile")?;
+            let workload = str_field(req, "workload", kind)?;
             // Resolve through the registry: typed unknown-name /
             // unregistered-pair errors carrying the valid catalog.
             let scenario = registry().profile(&workload, sys)?;
@@ -393,17 +422,18 @@ fn atoms_typed(req: &Request) -> Result<Vec<Atom>, ScenarioError> {
             let scenario = registry().get(&workload, sys)?;
             let chaos = chaos_from(req)?;
             if let Some(spec) = &chaos {
-                // Shed invalid specs at admission with the typed error;
-                // an atom that reaches execution can always apply.
-                spec.apply(sys.node()).map_err(|e| {
-                    ScenarioError::bad_request(format!(
-                        "chaos spec '{}' rejected for {}: {e}",
-                        spec.canonical(),
-                        sys.cli_name()
-                    ))
-                })?;
+                applies(spec, sys)?;
             }
-            Ok(vec![scenario_atom(&scenario.id().slug(), sys, chaos.as_ref())])
+            Ok(vec![scenario_atom("run", &scenario.id().slug(), sys, chaos.as_ref())])
+        }
+        "chaos" => {
+            let sys = system_from(req)?;
+            let workload = str_field(req, "workload", "chaos")?;
+            str_field(req, "chaos", "chaos")?;
+            let spec = chaos_from(req)?.unwrap_or_default();
+            let scenario = registry().get(&workload, sys)?;
+            applies(&spec, sys)?;
+            Ok(vec![scenario_atom("chaos", &scenario.id().slug(), sys, Some(&spec))])
         }
         "pcie" => {
             let sys = system_from(req)?;
@@ -426,40 +456,60 @@ fn atoms_typed(req: &Request) -> Result<Vec<Atom>, ScenarioError> {
                     }
                     let slug = format!("pcie-{name}");
                     registry().get(&slug, sys)?; // typed unregistered-pair check
-                    Ok(scenario_atom(&slug, sys, None))
+                    Ok(scenario_atom("run", &slug, sys, None))
                 })
                 .collect()
         }
         other => Err(ScenarioError::bad_request(format!(
             "unknown request kind '{other}'; expected table, figure, ablation, experiments, \
-             conformance, devices, profile, pcie, run, list or report"
+             conformance, devices, profile, trace, pcie, run, chaos, list or report"
         ))),
     }
 }
 
-/// Runs one scenario atom and packages the typed outcome.
-fn run_scenario_atom(atom: &Atom) -> Result<Json, ScenarioError> {
+/// The cell a `run` or `chaos` atom names: its slug, system and
+/// overlay (absent for a baseline run).
+fn atom_cell(atom: &Atom) -> Result<(&str, System, Option<ChaosSpec>), ScenarioError> {
     let slug = atom
         .params
         .get("workload")
         .and_then(Json::as_str)
-        .ok_or_else(|| ScenarioError::bad_request("run atom missing workload"))?;
+        .ok_or_else(|| ScenarioError::bad_request("scenario atom missing workload"))?;
     let sys: System = atom
         .params
         .get("system")
         .and_then(Json::as_str)
         .unwrap_or("aurora")
         .parse()?;
-    let scenario = registry().get(slug, sys)?;
-    // The overlay installs here, inside atom execution, because atoms
-    // run on `pvc_core::par` worker threads — a thread-local overlay
-    // set at admission would never reach them.
     let chaos = match atom.params.get("chaos").and_then(Json::as_str) {
         Some(s) => Some(ChaosSpec::parse(s).map_err(|e| {
             ScenarioError::bad_request(format!("chaos atom spec '{s}': {e}"))
         })?),
         None => None,
     };
+    Ok((slug, sys, chaos))
+}
+
+/// What `reproduce run` prints for one outcome: the FOM with its
+/// direction, the citation, then every detail entry.
+fn run_text(scenario: &dyn Scenario, out: &Outcome) -> String {
+    let dir = if scenario.fom_kind().higher_is_better() {
+        "higher is better"
+    } else {
+        "lower is better"
+    };
+    let mut text = format!("{}: {} ({dir})\n", out.id, out.fom);
+    text.push_str(&format!("  citation: {}\n", scenario.citation()));
+    for (key, value) in &out.detail {
+        text.push_str(&format!("  {key} = {value}\n"));
+    }
+    text
+}
+
+/// Runs one scenario atom and packages the typed outcome.
+fn run_scenario_atom(atom: &Atom) -> Result<Json, ScenarioError> {
+    let (slug, sys, chaos) = atom_cell(atom)?;
+    let scenario = registry().get(slug, sys)?;
     // A local work registry collects the solver-effort counters the
     // simulation exports through the ambient sink (`simrt.*`), so every
     // run response carries its own attribution — recomputing the same
@@ -468,6 +518,9 @@ fn run_scenario_atom(atom: &Atom) -> Result<Json, ScenarioError> {
     let work = pvc_obs::Metrics::new();
     let out = {
         let _observing = work.install_ambient();
+        // The overlay installs here, inside atom execution, because
+        // atoms run on `pvc_core::par` worker threads — a thread-local
+        // overlay set at admission would never reach them.
         match &chaos {
             Some(spec) => pvc_scenario::run_overlaid(registry(), slug, sys, spec)?,
             None => scenario.run(&mut Ctx::quiet()),
@@ -490,6 +543,9 @@ fn run_scenario_atom(atom: &Atom) -> Result<Json, ScenarioError> {
     if let Some(spec) = &chaos {
         fields.push(("chaos", Json::Str(spec.canonical())));
     }
+    // Rendered from the typed outcome, not from the JSON numbers above,
+    // which write non-finite values as `null`.
+    fields.push(("text", Json::Str(run_text(scenario, &out))));
     fields.push((
         "work",
         Json::Obj(
@@ -500,6 +556,17 @@ fn run_scenario_atom(atom: &Atom) -> Result<Json, ScenarioError> {
         ),
     ));
     Ok(Json::obj(fields))
+}
+
+/// Runs one cell healthy and under its overlay, both traced, and
+/// answers the delta report with the monotonicity verdict.
+fn chaos_atom(atom: &Atom) -> Result<Json, ScenarioError> {
+    let (slug, sys, chaos) = atom_cell(atom)?;
+    let run = pvc_scenario::run_with_chaos(registry(), slug, sys, &chaos.unwrap_or_default())?;
+    Ok(Json::obj(vec![
+        ("text", Json::Str(run.report())),
+        ("degraded_no_better", Json::Bool(run.degraded_no_better())),
+    ]))
 }
 
 /// The full grid as the `reproduce list` table: one line per scenario
@@ -578,9 +645,11 @@ fn execute_atom_typed(atom: &Atom) -> Result<Json, ScenarioError> {
                 ("trace_events", Json::Int(events as i64)),
                 ("top", Json::Str(artifact.top)),
                 ("summary", Json::Str(artifact.summary)),
+                ("trace", Json::Str(artifact.trace_json)),
             ]))
         }
         "run" => run_scenario_atom(atom),
+        "chaos" => chaos_atom(atom),
         other => Err(ScenarioError::bad_request(format!("unknown atom op '{other}'"))),
     }
 }
@@ -652,7 +721,18 @@ impl Executor for CatalogExecutor {
                 ("modes", Json::Obj(pairs)),
             ]));
         }
-        parts.pop().ok_or_else(|| "empty result".to_string())
+        let part = parts.pop().ok_or("empty result")?;
+        // The shared profile atom carries the trace: a profile answers
+        // without it, a trace answers with it alone.
+        Ok(match (req.kind(), part) {
+            ("profile", Json::Obj(pairs)) => {
+                Json::Obj(pairs.into_iter().filter(|(k, _)| k != "trace").collect())
+            }
+            ("trace", Json::Obj(pairs)) => {
+                Json::Obj(pairs.into_iter().filter(|(k, _)| k == "trace").collect())
+            }
+            (_, part) => part,
+        })
     }
 }
 
@@ -804,6 +884,16 @@ mod tests {
             (r#"{"kind":"run","workload":"warpdrive"}"#, "unknown workload"),
             (r#"{"kind":"run","workload":"stream-triad","system":"h100"}"#, "not registered"),
             (r#"{"kind":"report","name":"warp"}"#, "unknown report 'warp'"),
+            (r#"{"kind":"trace","workload":"nope"}"#, "unknown profile workload"),
+            (r#"{"kind":"chaos","workload":"stream-triad"}"#, "chaos needs a string 'chaos'"),
+            (
+                r#"{"kind":"chaos","workload":"stream-triad","chaos":"warp:9"}"#,
+                "unknown fault 'warp'",
+            ),
+            (
+                r#"{"kind":"chaos","workload":"stream-triad","chaos":"stackdown:12"}"#,
+                "rejected for aurora",
+            ),
         ];
         for (line, needle) in cases {
             let r = s.handle_lines(&[line]).remove(0);
@@ -860,6 +950,39 @@ mod tests {
         for ((doc, want), got) in expected.iter().zip(&served) {
             assert_eq!(got, want, "{doc}");
         }
+    }
+
+    /// A profile and a trace of one workload share one simulation: the
+    /// profile answers without the trace, the trace with it alone.
+    #[test]
+    fn profile_and_trace_share_one_atom() {
+        let s = service();
+        let profile = r#"{"kind":"profile","workload":"pcie-h2d","system":"aurora"}"#;
+        let trace = r#"{"kind":"trace","workload":"pcie-h2d","system":"aurora"}"#;
+        let answers = s.handle_lines(&[profile, trace]);
+        assert_eq!(s.metrics().counter("serve.atoms.requested"), 2);
+        assert_eq!(s.metrics().counter("serve.atoms.executed"), 1);
+        let keys = |i: usize| match answers[i].get("result") {
+            Some(Json::Obj(pairs)) => pairs.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+            other => panic!("no result object: {other:?}"),
+        };
+        assert_eq!(keys(0), ["workload", "system", "trace_events", "top", "summary"]);
+        assert_eq!(keys(1), ["trace"]);
+        let want = profile::run("pcie-h2d", System::Aurora).unwrap().trace_json;
+        let served = answers[1].get("result").and_then(|r| r.get("trace"));
+        assert_eq!(served.and_then(Json::as_str), Some(want.as_str()));
+    }
+
+    /// A chaos request answers the delta report and its verdict.
+    #[test]
+    fn chaos_requests_answer_the_delta_report() {
+        let s = service();
+        let ok = r#"{"kind":"chaos","workload":"stream-triad","system":"aurora","chaos":"hbm:0.5"}"#;
+        let r = s.handle_lines(&[ok]).remove(0);
+        let result = r.get("result").expect("a chaos result");
+        let text = result.get("text").and_then(Json::as_str).expect("report text");
+        assert!(text.contains("  delta:    -50.0%\n"), "{text}");
+        assert_eq!(result.get("degraded_no_better"), Some(&Json::Bool(true)));
     }
 
     /// The ISSUE's acceptance property: cached and recomputed responses

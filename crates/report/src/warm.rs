@@ -26,7 +26,7 @@ use pvc_serve::{fnv1a64, Request};
 /// Bump on any change to how responses are stored (value layout,
 /// envelope schema): old stores then invalidate even when the model
 /// constants are unchanged.
-const STORE_SCHEMA: &str = "pvc-store-catalog/v1";
+const STORE_SCHEMA: &str = "pvc-store-catalog/v2";
 
 /// The build fingerprint: FNV-1a 64 over the model constants, the
 /// scenario grid and the store schema version. Deterministic across

@@ -332,3 +332,36 @@ fn chaos_verb_rejects_garbage_with_usage_and_grammar() {
     assert!(!ok);
     assert!(stderr.contains("stackdown"), "apply-time typed rejection: {stderr}");
 }
+
+/// `run` and `chaos` print exactly the `text` their served requests
+/// answer.
+#[test]
+fn run_and_chaos_print_their_served_text() {
+    let dir = std::env::temp_dir().join("pvc_cli_served_text_test");
+    let _ = std::fs::remove_dir_all(&dir);
+    let cases: [(&[&str], &str); 2] = [
+        (
+            &["run", "stream-triad", "aurora"],
+            r#"{"kind":"run","workload":"stream-triad","system":"aurora"}"#,
+        ),
+        (
+            &["chaos", "allreduce", "aurora", "xelink:0:0.3"],
+            r#"{"kind":"chaos","workload":"allreduce","system":"aurora","chaos":"xelink:0:0.3"}"#,
+        ),
+    ];
+    for (args, doc) in cases {
+        let req = write_request(&dir, &format!("{}.json", args[0]), doc);
+        let (envelope, _, ok) = reproduce(&["query", &req]);
+        assert!(ok, "{envelope}");
+        let envelope = pvc_core::json::parse(&envelope).expect("envelope parses");
+        let served = envelope
+            .get("result")
+            .and_then(|r| r.get("text"))
+            .and_then(pvc_core::Json::as_str)
+            .expect("served text");
+        let (printed, stderr, ok) = reproduce(args);
+        assert!(ok, "{args:?}: {stderr}");
+        assert_eq!(printed, served, "{args:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -352,3 +352,73 @@ fn a_one_mib_query_body_gets_its_envelope_over_http_and_the_server_stays_up() {
     drop(r);
     shutdown(addr, handle);
 }
+
+/// `GET /trace` is a catalog request: its body is the profiler's
+/// Chrome trace byte for byte, a repeat is a cache hit, the content
+/// type follows `Accept`, and an unknown workload is a typed 400.
+#[test]
+fn trace_route_is_served_cached_and_typed() {
+    let want = pvc_report::profile::run("pcie-h2d", pvc_arch::System::Aurora)
+        .expect("pcie-h2d profiles")
+        .trace_json;
+    let (addr, handle) = boot();
+    let (mut w, mut r) = connect(addr);
+    let path = "/trace/pcie-h2d/aurora";
+    let (status, headers, body) = request(&mut w, &mut r, "GET", path, None, None);
+    assert_eq!(status, 200);
+    assert!(body == want.as_bytes(), "the trace route serves the profiler's trace");
+    let content_type = |headers: &[(String, String)]| {
+        headers
+            .iter()
+            .find(|(n, _)| n == "content-type")
+            .map(|(_, v)| v.clone())
+            .expect("content type")
+    };
+    assert_eq!(content_type(&headers), "application/json");
+
+    let chrome = Some("application/x-chrome-trace");
+    let (status, headers, again) = request(&mut w, &mut r, "GET", path, chrome, None);
+    assert_eq!(status, 200);
+    assert_eq!(again, body);
+    assert_eq!(content_type(&headers), "application/x-chrome-trace");
+
+    let (status, _, metrics) = request(&mut w, &mut r, "GET", "/metrics", None, None);
+    assert_eq!(status, 200);
+    let metrics = String::from_utf8(metrics).expect("metrics utf8");
+    for line in ["serve_requests 2", "serve_cache_miss 1", "serve_cache_hit 1"] {
+        assert!(metrics.lines().any(|l| l == line), "{line} missing:\n{metrics}");
+    }
+    assert!(metrics.contains("serve_cost_trace_count 2"), "{metrics}");
+
+    let (status, headers, body) =
+        request(&mut w, &mut r, "GET", "/trace/warpdrive/aurora", None, None);
+    assert_eq!(status, 400);
+    assert_eq!(content_type(&headers), "application/json");
+    let envelope = pvc_core::json::parse(std::str::from_utf8(&body).unwrap().trim_end())
+        .expect("error envelope parses");
+    let kind = envelope.get("error").and_then(|e| e.get("kind"));
+    assert_eq!(kind, Some(&Json::str("bad_request")), "{}", envelope.compact());
+    drop(w);
+    drop(r);
+    shutdown(addr, handle);
+}
+
+/// `GET /run/W/S` with `Accept: text/plain` answers exactly what
+/// `reproduce run W S` prints.
+#[test]
+fn run_route_text_equals_the_run_verb() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(["run", "stream-triad", "aurora"])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success());
+    let (addr, handle) = boot();
+    let (mut w, mut r) = connect(addr);
+    let path = "/run/stream-triad/aurora";
+    let (status, _, body) = request(&mut w, &mut r, "GET", path, Some("text/plain"), None);
+    assert_eq!(status, 200);
+    assert_eq!(String::from_utf8(body).unwrap(), String::from_utf8(out.stdout).unwrap());
+    drop(w);
+    drop(r);
+    shutdown(addr, handle);
+}

@@ -73,6 +73,43 @@ impl ChaosRun {
             d >= b
         }
     }
+
+    /// The delta report `reproduce chaos` prints: both FOMs with their
+    /// bottlenecks, the signed delta and whether the bottleneck moved.
+    pub fn report(&self) -> String {
+        let dir = if self.baseline.fom.kind().higher_is_better() {
+            "higher is better"
+        } else {
+            "lower is better"
+        };
+        let mut out = format!(
+            "chaos report: {} under '{}'\n",
+            self.baseline.id,
+            self.spec.canonical()
+        );
+        let side = |label: &str, o: &Outcome, b: &Option<String>| {
+            let bn = b.as_deref().unwrap_or("none traced");
+            format!("  {label:<9} {} ({dir})  [bottleneck: {bn}]\n", o.fom)
+        };
+        out.push_str(&side("baseline:", &self.baseline, &self.baseline_bottleneck));
+        out.push_str(&side("degraded:", &self.degraded, &self.degraded_bottleneck));
+        match self.delta_fraction() {
+            Some(d) => out.push_str(&format!("  delta:    {:+.1}%\n", d * 100.0)),
+            None => out.push_str(
+                "  delta:    n/a (zero or non-finite endpoint — e.g. stranded transfers)\n",
+            ),
+        }
+        if self.baseline_bottleneck != self.degraded_bottleneck {
+            out.push_str(&format!(
+                "  bottleneck shifted: {} -> {}\n",
+                self.baseline_bottleneck.as_deref().unwrap_or("none"),
+                self.degraded_bottleneck.as_deref().unwrap_or("none")
+            ));
+        } else {
+            out.push_str("  bottleneck unchanged\n");
+        }
+        out
+    }
 }
 
 /// Runs one cell twice — healthy, then under `spec` — with recording
@@ -170,6 +207,9 @@ mod tests {
         assert!(run.degraded_no_better());
         let delta = run.delta_fraction().unwrap();
         assert!((delta + 0.5).abs() < 1e-9, "triad tracks HBM: {delta}");
+        let report = run.report();
+        assert!(report.starts_with("chaos report: stream-triad@aurora under 'hbm:0.5'\n"));
+        assert!(report.contains("  delta:    -50.0%\n"), "{report}");
         // Latency direction: a clock cap slows the pointer chase, the
         // latency rises, and that still counts as "no better".
         let cap = ChaosSpec::parse("clock:0.8").unwrap();

@@ -3,8 +3,10 @@
 //! Deliberately minimal — `std::net` only, no TLS, no compression, no
 //! async — but correct on the subset the serving stack needs:
 //!
-//! * request-line + header parsing with bounded sizes (oversized or
-//!   malformed input answers `400`/`431` and closes);
+//! * request-line + header parsing with bounded sizes: the head is read
+//!   as bytes within `MAX_HEAD`, so a line that never ends costs at
+//!   most that much (oversized input answers `431`, malformed or
+//!   non-UTF-8 input `400`, and the connection closes);
 //! * `Content-Length` request bodies (the only kind a query client
 //!   sends);
 //! * **keep-alive** by default on HTTP/1.1 (`Connection: close`
@@ -131,33 +133,40 @@ enum ReadOutcome {
 }
 
 /// Reads one request head + body. Bounded: never reads more than
-/// `MAX_HEAD` + `MAX_BODY` bytes per request.
+/// `MAX_HEAD` + `MAX_BODY` bytes per request. Head lines are read as
+/// bytes through a `take` of what is left of `MAX_HEAD`, so a line
+/// without a newline cannot grow past it; the head decodes as UTF-8
+/// only once complete.
 fn read_request(reader: &mut BufReader<TcpStream>) -> std::io::Result<ReadOutcome> {
-    let mut head = String::new();
-    let mut first = true;
+    let mut head = Vec::new();
+    let mut left = MAX_HEAD as u64;
     loop {
-        let mut line = String::new();
-        let n = reader.read_line(&mut line)?;
-        if n == 0 {
-            return Ok(if first && head.is_empty() {
+        if left == 0 {
+            return Ok(ReadOutcome::Reject(431, "request head too large"));
+        }
+        let start = head.len();
+        let n = reader.by_ref().take(left).read_until(b'\n', &mut head)?;
+        left -= n as u64;
+        if n == 0 || (head[start..].last() != Some(&b'\n') && left > 0) {
+            return Ok(if head.is_empty() {
                 ReadOutcome::Closed
             } else {
                 ReadOutcome::Reject(400, "truncated request")
             });
         }
-        if first && line.trim_end().is_empty() {
-            // Tolerate leading blank lines between pipelined requests.
-            continue;
-        }
-        first = false;
-        if line.trim_end().is_empty() {
+        let line = &head[start..];
+        if line.ends_with(b"\n") && line.trim_ascii().is_empty() {
+            head.truncate(start);
+            if head.is_empty() {
+                // Tolerate leading blank lines between pipelined requests.
+                continue;
+            }
             break;
         }
-        head.push_str(&line);
-        if head.len() > MAX_HEAD {
-            return Ok(ReadOutcome::Reject(431, "request head too large"));
-        }
     }
+    let Ok(head) = String::from_utf8(head) else {
+        return Ok(ReadOutcome::Reject(400, "request head is not UTF-8"));
+    };
     let mut lines = head.lines();
     let request_line = lines.next().unwrap_or("");
     let mut parts = request_line.split_whitespace();
@@ -416,6 +425,56 @@ mod tests {
         let (status, _, bye) = read_response(&mut r2);
         assert_eq!(status, 200);
         assert_eq!(bye, b"bye\n");
+        server.join().unwrap();
+    }
+
+    /// A head line that never ends is cut off at `MAX_HEAD` with a 431,
+    /// a head that is not UTF-8 gets a 400, and both leave the server
+    /// answering the next client. The clients' read timeout only turns
+    /// a server that never answers into a failure instead of a hang.
+    #[test]
+    fn unbounded_and_non_utf8_heads_are_answered_and_the_server_stays_up() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            serve_http(&listener, |req| match req.path.as_str() {
+                "/shutdown" => (HttpResponse::ok("text/plain", Vec::new()), After::Shutdown),
+                _ => (HttpResponse::ok("text/plain", b"ok\n".to_vec()), After::Continue),
+            })
+            .unwrap();
+        });
+        let connect = || {
+            let client = TcpStream::connect(addr).unwrap();
+            client
+                .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+                .unwrap();
+            (client.try_clone().unwrap(), BufReader::new(client))
+        };
+
+        // 100 KiB of request line, no newline, connection kept open.
+        let (mut w, mut r) = connect();
+        let mut line = b"GET /".to_vec();
+        line.resize(100 * 1024, b'a');
+        w.write_all(&line).unwrap();
+        let (status, _, body) = read_response(&mut r);
+        assert_eq!(status, 431);
+        assert_eq!(body, b"request head too large\n");
+        drop((w, r));
+
+        let (mut w, mut r) = connect();
+        w.write_all(b"GET /\xff\xfe HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+        let (status, _, body) = read_response(&mut r);
+        assert_eq!(status, 400);
+        assert_eq!(body, b"request head is not UTF-8\n");
+        drop((w, r));
+
+        let (mut w, mut r) = connect();
+        w.write_all(b"GET / HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+        let (status, _, body) = read_response(&mut r);
+        assert_eq!(status, 200);
+        assert_eq!(body, b"ok\n");
+        w.write_all(b"POST /shutdown HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+        assert_eq!(read_response(&mut r).0, 200);
         server.join().unwrap();
     }
 

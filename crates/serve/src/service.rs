@@ -146,37 +146,21 @@ enum Slot {
     Stats,
 }
 
-/// Per-input telemetry captured while the admission loop decides; the
-/// final outcome and envelope are bound after assembly.
-struct PendingTelemetry {
-    kind: String,
-    key: Option<String>,
-    outcome: Outcome,
-    cost: Option<u64>,
-    budget: Option<u64>,
-    queue_depth: Option<u64>,
-    /// Unique computation index, for records whose outcome/atom count
-    /// depends on how the computation resolved.
-    waiting: Option<usize>,
-    chaos: Option<String>,
-}
-
-impl PendingTelemetry {
-    /// A request answered `bad_request` before admission: it parsed
-    /// (`key`) or not, but either way it has no cost and no queue slot,
-    /// and its kind records as `?` because a client-chosen kind must
-    /// not name anything the service keeps.
-    fn rejected(key: Option<String>) -> Self {
-        PendingTelemetry {
-            kind: "?".to_string(),
-            key,
-            outcome: Outcome::BadRequest,
-            cost: None,
-            budget: None,
-            queue_depth: None,
-            waiting: None,
-            chaos: None,
-        }
+/// The record of a request answered `bad_request` before admission:
+/// it parsed (`key`) or not, but either way it has no cost and no queue
+/// slot, and its kind records as `?` because a client-chosen kind must
+/// not name anything the service keeps.
+fn rejected(key: Option<String>) -> RequestTelemetry {
+    RequestTelemetry {
+        seq: 0,
+        kind: "?".to_string(),
+        key,
+        outcome: Outcome::BadRequest,
+        cost: None,
+        budget: None,
+        queue_depth: None,
+        atoms: None,
+        chaos: None,
     }
 }
 
@@ -300,7 +284,10 @@ impl<E: Executor> Service<E> {
         self.metrics.count("serve.requests", inputs.len() as u64);
         let recording = self.telemetry.enabled();
         let mut slots: Vec<Slot> = Vec::with_capacity(inputs.len());
-        let mut pending: Vec<PendingTelemetry> = Vec::new();
+        // One record per input while recording, with the unique
+        // computation it waits on: its outcome and atom count are
+        // patched once that computation resolves.
+        let mut pending: Vec<(RequestTelemetry, Option<usize>)> = Vec::new();
         // Unique admitted computations and their atoms, in arrival order.
         let mut unique: Vec<(Request, Vec<Atom>)> = Vec::new();
         for input in &inputs {
@@ -310,7 +297,7 @@ impl<E: Executor> Service<E> {
                     self.metrics.count(Outcome::BadRequest.as_metric_name(), 1);
                     slots.push(Slot::Done(err_envelope(None, e)));
                     if recording {
-                        pending.push(PendingTelemetry::rejected(None));
+                        pending.push((rejected(None), None));
                     }
                     continue;
                 }
@@ -319,7 +306,7 @@ impl<E: Executor> Service<E> {
             let outcome = self.admit(req, &mut unique, &mut slots);
             self.metrics.count(outcome.as_metric_name(), 1);
             if recording && outcome == Outcome::BadRequest {
-                pending.push(PendingTelemetry::rejected(Some(req.key_hex())));
+                pending.push((rejected(Some(req.key_hex())), None));
             } else if recording {
                 let reserved = matches!(outcome, Outcome::Stats | Outcome::Shutdown);
                 let cost = if reserved {
@@ -332,23 +319,23 @@ impl<E: Executor> Service<E> {
                 if let Some(c) = cost {
                     self.observe_cost(req, c);
                 }
-                pending.push(PendingTelemetry {
+                let record = RequestTelemetry {
+                    seq: 0,
                     kind: request_kind(req),
                     key: Some(req.key_hex()),
                     outcome,
                     cost,
-                    budget: if reserved {
-                        None
-                    } else {
-                        Some(req.budget().unwrap_or(self.cfg.default_budget))
-                    },
+                    budget: (!reserved).then(|| req.budget().unwrap_or(self.cfg.default_budget)),
                     queue_depth: (!reserved).then_some(depth),
-                    waiting: match slots.last() {
-                        Some(Slot::Waiting(u)) => Some(*u),
-                        _ => None,
-                    },
-                    chaos: request_chaos(req),
-                });
+                    atoms: None,
+                    // A stats record never names a chaos spec.
+                    chaos: if outcome == Outcome::Stats { None } else { request_chaos(req) },
+                };
+                let waiting = match slots.last() {
+                    Some(Slot::Waiting(u)) => Some(*u),
+                    _ => None,
+                };
+                pending.push((record, waiting));
             }
         }
 
@@ -408,38 +395,24 @@ impl<E: Executor> Service<E> {
         // Record telemetry for every non-stats input, in input order,
         // before the stats body is built — so a stats request in the
         // same batch already sees this batch in the flight recorder.
-        if recording {
-            for (i, p) in pending.iter().enumerate() {
-                if p.outcome == Outcome::Stats {
-                    continue;
-                }
-                let (outcome, atoms_n) = match p.waiting {
-                    Some(u) if unique_failed[u] => (Outcome::Failed, None),
-                    Some(u) => (p.outcome, Some(plan.assignments[u].len() as u64)),
-                    None => (p.outcome, None),
-                };
-                let envelope = match &slots[i] {
-                    Slot::Done(env) => env,
-                    Slot::Waiting(u) => &outcomes[*u],
-                    Slot::Stats => unreachable!("stats filtered above"),
-                };
-                let text = inputs[i].as_ref().ok().map(|r| r.text());
-                self.telemetry.record(
-                    RequestTelemetry {
-                        seq: 0,
-                        kind: p.kind.clone(),
-                        key: p.key.clone(),
-                        outcome,
-                        cost: p.cost,
-                        budget: p.budget,
-                        queue_depth: p.queue_depth,
-                        atoms: atoms_n,
-                        chaos: p.chaos.clone(),
-                    },
-                    text,
-                    envelope,
-                );
+        let mut stats_records = Vec::new();
+        for (i, (mut record, waiting)) in pending.into_iter().enumerate() {
+            if record.outcome == Outcome::Stats {
+                stats_records.push((i, record));
+                continue;
             }
+            match waiting {
+                Some(u) if unique_failed[u] => record.outcome = Outcome::Failed,
+                Some(u) => record.atoms = Some(plan.assignments[u].len() as u64),
+                None => {}
+            }
+            let envelope = match &slots[i] {
+                Slot::Done(env) => env,
+                Slot::Waiting(u) => &outcomes[*u],
+                Slot::Stats => unreachable!("stats recorded below"),
+            };
+            let text = inputs[i].as_ref().ok().map(|r| r.text());
+            self.telemetry.record(record, text, envelope);
         }
 
         // Answer stats requests last: one body reflecting the whole
@@ -462,27 +435,9 @@ impl<E: Executor> Service<E> {
             })
             .collect();
 
-        if recording {
-            for (i, p) in pending.iter().enumerate() {
-                if p.outcome != Outcome::Stats {
-                    continue;
-                }
-                self.telemetry.record(
-                    RequestTelemetry {
-                        seq: 0,
-                        kind: p.kind.clone(),
-                        key: p.key.clone(),
-                        outcome: Outcome::Stats,
-                        cost: None,
-                        budget: None,
-                        queue_depth: None,
-                        atoms: None,
-                        chaos: None,
-                    },
-                    inputs[i].as_ref().ok().map(|r| r.text()),
-                    &responses[i],
-                );
-            }
+        for (i, record) in stats_records {
+            let text = inputs[i].as_ref().ok().map(|r| r.text());
+            self.telemetry.record(record, text, &responses[i]);
         }
 
         responses
