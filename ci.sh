@@ -8,8 +8,10 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Echoes each command to stderr, so `run CMD > FILE` leaves only the
+# command's own output in FILE.
 run() {
-  echo "==> $*"
+  echo "==> $*" >&2
   "$@"
 }
 
@@ -96,10 +98,8 @@ run "$reproduce" list > "$serve_dir/list.out"
 run grep -q '^63 scenarios registered$' "$serve_dir/list.out"
 run grep -q 'stream-triad@aurora' "$serve_dir/list.out"
 run grep -q 'GB/s' "$serve_dir/list.out"
-# Called without `run`, whose echo would land in the file: gate 13
-# compares run-a.out with the HTTP frontend's text byte for byte.
-"$reproduce" run stream-triad aurora > "$serve_dir/run-a.out"
-"$reproduce" run stream-triad aurora > "$serve_dir/run-b.out"
+run "$reproduce" run stream-triad aurora > "$serve_dir/run-a.out"
+run "$reproduce" run stream-triad aurora > "$serve_dir/run-b.out"
 test -s "$serve_dir/run-a.out"
 run cmp "$serve_dir/run-a.out" "$serve_dir/run-b.out"
 
@@ -173,16 +173,16 @@ run "$reproduce" warm --store "$store_dir/b.store" > /dev/null 2>&1
 test -s "$store_dir/a.store"
 run cmp "$store_dir/a.store" "$store_dir/b.store"
 # Verify round: every corpus request is a store hit, zero cold computes
-# (the verb exits 1 unless serve.store.hit == corpus and cache.miss == 0).
+# (the verb exits 1 unless serve.cache.hit == corpus and cache.miss == 0).
 run "$reproduce" warm --store "$store_dir/a.store" --verify > "$store_dir/verify.out" 2>&1
 run grep -q 'verify ok' "$store_dir/verify.out"
 # A fresh process replaying the canned batch (chaos request included)
-# against the warmed store serves everything from disk: 4 store hits,
+# against the warmed store serves everything from disk: 4 hits,
 # no cache misses, and the bytes equal the computed run from gate 7.
 "$reproduce" query --stats --store "$store_dir/a.store" \
   "$serve_dir/r1.json" "$serve_dir/r2.json" "$serve_dir/r3.json" "$serve_dir/chaos.json" \
   > "$store_dir/warmq.out" 2> "$store_dir/warmq.stats"
-run grep -q 'counter serve.store.hit = 4' "$store_dir/warmq.stats"
+run grep -q 'counter serve.cache.hit = 4' "$store_dir/warmq.stats"
 if grep -q 'counter serve.cache.miss' "$store_dir/warmq.stats"; then
   echo "ci: warmed store still computed cold" >&2; exit 1
 fi

@@ -1,6 +1,8 @@
-//! Benchmarks of the `pvc-serve` query service: cache-hit vs cache-miss
-//! throughput, store hits, one cold profile atom, single-flight
-//! batching, and the sweep coalescing factor.
+//! Benchmarks of the `pvc-serve` query service: store hits vs cache
+//! misses, hits from a store file, one cold profile atom, single-flight
+//! batching, and the sweep coalescing factor. Hits are timed through
+//! `Service::handle_line`, the path the stdin and `POST /query`
+//! frontends take.
 //!
 //! Run with `cargo bench -p pvc-bench --bench serve`. The warm/cold
 //! latency table in EXPERIMENTS.md §Serving is produced by this bench.
@@ -34,25 +36,25 @@ fn serve_cache_miss(c: &mut Criterion) {
     g.finish();
 }
 
-/// Warm path: one shared service, the request is answered from the LRU
-/// cache. The miss/hit median ratio is the headline speedup of the
-/// serving layer.
+/// Warm path: one shared service, the request is answered from its
+/// in-memory store. The miss/hit median ratio is the headline speedup
+/// of the serving layer.
 fn serve_cache_hit(c: &mut Criterion) {
     let s = fresh();
-    s.handle_lines(&[TABLE2]); // warm
+    s.handle_line(TABLE2); // warm
     let mut g = c.benchmark_group("serve");
     g.sample_size(50);
     g.bench_function("table2_warm_hit", |b| {
-        b.iter(|| black_box(s.handle_lines(&[TABLE2])))
+        b.iter(|| black_box(s.handle_line(TABLE2)))
     });
     g.finish();
     assert!(s.metrics().counter("serve.cache.hit") > 0);
 }
 
-/// Disk tier: every iteration is a fresh process standing in — a new
-/// service with an empty LRU opens the warmed store file and answers
-/// `request` from disk (open + index load + probe + parse + promote),
-/// without computing it. `name` is the bench name in group `serve`.
+/// Store file: every iteration is a fresh process standing in — a new
+/// service opens the warmed store file and answers `request` from it
+/// (open + index load + probe + splice), without computing it. `name`
+/// is the bench name in group `serve`.
 fn bench_store_hit(c: &mut Criterion, name: &str, request: &str) {
     let path = std::env::temp_dir().join(format!(
         "pvc-bench-serve-store-{name}-{}.bin",
@@ -65,7 +67,7 @@ fn bench_store_hit(c: &mut Criterion, name: &str, request: &str) {
         let (store, report) = pvc_store::Store::open(&path, fp).unwrap();
         let mut s = fresh();
         s.attach_store(store, &report);
-        s.handle_lines(&[request]);
+        s.handle_line(request);
     }
     let mut g = c.benchmark_group("serve");
     g.sample_size(50);
@@ -74,8 +76,8 @@ fn bench_store_hit(c: &mut Criterion, name: &str, request: &str) {
             let (store, report) = pvc_store::Store::open(&path, fp).unwrap();
             let mut s = fresh();
             s.attach_store(store, &report);
-            black_box(s.handle_lines(&[request]));
-            assert_eq!(s.metrics().counter("serve.store.hit"), 1);
+            black_box(s.handle_line(request));
+            assert_eq!(s.metrics().counter("serve.cache.hit"), 1);
         })
     });
     g.finish();
@@ -89,7 +91,7 @@ fn serve_warm_from_disk(c: &mut Criterion) {
 }
 
 /// The `experiments` record from disk: at about 24 KB the largest
-/// stored body, so its time is mostly parsing the stored JSON.
+/// stored catalog body, spliced into its answer as stored.
 fn serve_experiments_from_disk(c: &mut Criterion) {
     bench_store_hit(c, "experiments_from_disk", EXPERIMENTS);
 }

@@ -219,6 +219,28 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Offset of the first `"` or `\` in `bytes` (its length when there is
+/// none), eight bytes at a time: a byte equal to `c` is a zero byte of
+/// `word ^ c…c`, and the lowest byte the zero-byte test flags is always
+/// a true zero.
+fn quote_or_backslash(bytes: &[u8]) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    let zero_bytes = |v: u64| v.wrapping_sub(ONES) & !v & HIGHS;
+    let mut words = bytes.chunks_exact(8);
+    let mut at = 0;
+    for word in &mut words {
+        let w = u64::from_le_bytes(word.try_into().expect("an 8-byte chunk"));
+        let hits = zero_bytes(w ^ (ONES * b'"' as u64)) | zero_bytes(w ^ (ONES * b'\\' as u64));
+        if hits != 0 {
+            return at + (hits.trailing_zeros() / 8) as usize;
+        }
+        at += 8;
+    }
+    let tail = words.remainder();
+    at + tail.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(tail.len())
+}
+
 /// Parse error with byte offset for context.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -249,6 +271,44 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
         return Err(p.err("trailing characters after document"));
     }
     Ok(v)
+}
+
+/// The string field `name` of the JSON object `doc`, unescaped, read
+/// without building the rest of the document: what
+/// `parse(doc)?.get(name)?.as_str()` gives for a well-formed `doc`.
+/// `None` when the field is absent or not a string, or when `doc` is
+/// not an object that is well-formed up to the field (what follows the
+/// field is not read).
+pub fn string_field(doc: &str, name: &str) -> Option<String> {
+    let mut p = Parser { src: doc, pos: 0 };
+    p.skip_ws();
+    p.expect(b'{', "expected '{'").ok()?;
+    p.skip_ws();
+    if p.peek() == Some(b'}') {
+        return None;
+    }
+    loop {
+        p.skip_ws();
+        let start = p.pos;
+        p.scan_string(None).ok()?;
+        // The key as written, between its quotes; one with escapes is
+        // unescaped to compare.
+        let raw = &doc[start + 1..p.pos - 1];
+        let is_name = if raw.contains('\\') {
+            Parser { src: doc, pos: start }.string().ok()? == name
+        } else {
+            raw == name
+        };
+        p.skip_ws();
+        p.expect(b':', "expected ':' after object key").ok()?;
+        p.skip_ws();
+        if is_name {
+            return p.string().ok();
+        }
+        p.skip_value().ok()?;
+        p.skip_ws();
+        p.expect(b',', "expected ','").ok()?;
+    }
 }
 
 struct Parser<'a> {
@@ -362,36 +422,42 @@ impl<'a> Parser<'a> {
     }
 
     fn string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"', "expected '\"'")?;
         let mut s = String::new();
+        self.scan_string(Some(&mut s))?;
+        Ok(s)
+    }
+
+    /// Steps over one string, unescaping it into `out` when given.
+    fn scan_string(&mut self, mut out: Option<&mut String>) -> Result<(), ParseError> {
+        self.expect(b'"', "expected '\"'")?;
         loop {
             // Copy the run up to the next quote or backslash in one go.
             // Both are ASCII, so the run ends on a char boundary.
-            let rest = &self.src[self.pos..];
-            let run = rest.bytes().position(|b| b == b'"' || b == b'\\');
-            let run = run.unwrap_or(rest.len());
-            s.push_str(&rest[..run]);
+            let run = quote_or_backslash(&self.bytes()[self.pos..]);
+            if let Some(s) = out.as_deref_mut() {
+                s.push_str(&self.src[self.pos..self.pos + run]);
+            }
             self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(s);
+                    return Ok(());
                 }
                 Some(_) => {
                     // A backslash: one escape.
                     let esc = self.bytes().get(self.pos + 1).copied();
                     let esc = esc.ok_or(self.err("bad escape"))?;
                     self.pos += 2;
-                    match esc {
-                        b'"' => s.push('"'),
-                        b'\\' => s.push('\\'),
-                        b'/' => s.push('/'),
-                        b'n' => s.push('\n'),
-                        b'r' => s.push('\r'),
-                        b't' => s.push('\t'),
-                        b'b' => s.push('\u{8}'),
-                        b'f' => s.push('\u{c}'),
+                    let c = match esc {
+                        b'"' => '"',
+                        b'\\' => '\\',
+                        b'/' => '/',
+                        b'n' => '\n',
+                        b'r' => '\r',
+                        b't' => '\t',
+                        b'b' => '\u{8}',
+                        b'f' => '\u{c}',
                         b'u' => {
                             let code = self
                                 .src
@@ -401,17 +467,75 @@ impl<'a> Parser<'a> {
                             self.pos += 4;
                             // Surrogate pairs are not emitted by our
                             // writer; map lone surrogates to U+FFFD.
-                            s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                            char::from_u32(code).unwrap_or('\u{fffd}')
                         }
                         _ => return Err(self.err("unknown escape")),
+                    };
+                    if let Some(s) = out.as_deref_mut() {
+                        s.push(c);
                     }
                 }
             }
         }
     }
 
+    /// Steps over one value, checking its structure but building
+    /// nothing.
+    fn skip_value(&mut self) -> Result<(), ParseError> {
+        let (close, keyed) = match self.peek() {
+            Some(b'"') => return self.scan_string(None),
+            Some(b'[') => (b']', false),
+            Some(b'{') => (b'}', true),
+            Some(b'-' | b'0'..=b'9') => {
+                self.scan_number();
+                return Ok(());
+            }
+            _ => return self.value().map(drop),
+        };
+        self.pos += 1;
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            self.skip_ws();
+            if keyed {
+                self.scan_string(None)?;
+                self.skip_ws();
+                self.expect(b':', "expected ':' after object key")?;
+                self.skip_ws();
+            }
+            self.skip_value()?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(c) if c == close => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                _ => return Err(self.err("expected ',' or a closing bracket")),
+            }
+        }
+    }
+
     fn number(&mut self) -> Result<Json, ParseError> {
         let start = self.pos;
+        let fractional = self.scan_number();
+        let text = &self.src[start..self.pos];
+        if !fractional {
+            if let Ok(i) = text.parse::<i64>() {
+                return Ok(Json::Int(i));
+            }
+        }
+        text.parse::<f64>()
+            .map(Json::Num)
+            .map_err(|_| ParseError { at: start, msg: "invalid number" })
+    }
+
+    /// Steps over a number's characters; true when it has a fraction or
+    /// an exponent.
+    fn scan_number(&mut self) -> bool {
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
@@ -426,15 +550,7 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = &self.src[start..self.pos];
-        if !fractional {
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Json::Int(i));
-            }
-        }
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| ParseError { at: start, msg: "invalid number" })
+        fractional
     }
 }
 
@@ -639,6 +755,14 @@ mod tests {
             let doc = arbitrary_json(g, 4);
             for text in [doc.pretty(), doc.compact()] {
                 ensure_eq!(parse(&text), Ok(doc.clone()));
+                // Every key (and one that is absent) reads the same
+                // through the field reader as through the tree.
+                if let Json::Obj(pairs) = &doc {
+                    for key in pairs.iter().map(|(k, _)| k.as_str()).chain(["\u{0}absent"]) {
+                        let want = doc.get(key).and_then(Json::as_str).map(str::to_string);
+                        ensure_eq!(string_field(&text, key), want);
+                    }
+                }
             }
             Ok(())
         });
@@ -667,6 +791,9 @@ mod tests {
             let input = String::from_utf8_lossy(&bytes);
             if let Err(e) = parse(&input) {
                 ensure!(e.at <= input.len());
+            }
+            for name in ["", "a", "text"] {
+                let _ = string_field(&input, name);
             }
             Ok(())
         });

@@ -74,11 +74,13 @@
 //! current build fingerprint. `--verify` instead requires the store to
 //! already be warm: it fails unless every corpus request is answered
 //! from disk with zero cold computes. The other frontends take
-//! `--store PATH` to attach the warmed store as a second cache tier
-//! below the in-memory LRU, so a fresh process answers its very first
-//! catalog query without running a simulation. A store written by a
-//! different build fingerprint is detected at open and reset
-//! automatically.
+//! `--store PATH` to serve from that file instead of an in-memory
+//! store, so a fresh process answers its very first catalog query
+//! without running a simulation. A store written by a different build
+//! fingerprint is detected at open and reset automatically. One store
+//! file has one writer: `warm` on a file another process holds open
+//! exits 1, and `query`, `serve` and `stats` say so on stderr and serve
+//! from memory instead.
 
 use pvc_core::Json;
 use pvc_report::serve::{
@@ -430,10 +432,11 @@ fn new_catalog_service(cfg: ServeConfig, access_log: bool) -> Service<CatalogExe
     service
 }
 
-/// [`new_catalog_service`] with the `--store PATH` disk tier, bound to
-/// the build fingerprint, attached below the LRU. The open outcome
-/// prints on stderr so response bytes on stdout stay untouched; `None`
-/// when the store cannot be opened.
+/// [`new_catalog_service`] serving from the `--store PATH` file, bound
+/// to the build fingerprint. The open outcome prints on stderr so
+/// response bytes on stdout stay untouched. A file another store holds
+/// is left alone and the service keeps its in-memory store; `None`
+/// when the store cannot be opened for any other reason.
 fn catalog_service(flags: &ServeFlags) -> Option<Service<CatalogExecutor>> {
     let mut service = new_catalog_service(flags.cfg.clone(), flags.access_log.is_some());
     if let Some(path) = &flags.store {
@@ -441,6 +444,9 @@ fn catalog_service(flags: &ServeFlags) -> Option<Service<CatalogExecutor>> {
             Ok((store, report)) => {
                 eprintln!("store {path}: {}", describe_open(&report));
                 service.attach_store(store, &report);
+            }
+            Err(pvc_store::OpenError::Locked(_)) => {
+                eprintln!("store {path}: locked by another open store; serving from memory");
             }
             Err(e) => {
                 eprintln!("failed to open store {path}: {e}");
@@ -511,13 +517,10 @@ fn run_warm(args: &[String]) -> i32 {
     }
     service.attach_store(store, &report);
     let batch: Vec<_> = corpus.iter().map(|t| Request::parse(t)).collect();
-    let envelopes = service.handle_batch(batch);
-    let failed = envelopes
-        .iter()
-        .filter(|e| e.get("result").is_none())
-        .count();
+    let answers = service.answer_batch(batch);
+    let failed = answers.iter().filter(|a| a.result().is_none()).count();
     let metrics = service.metrics();
-    let hits = metrics.counter("serve.store.hit");
+    let hits = metrics.counter("serve.cache.hit");
     let writes = metrics.counter("serve.store.write");
     let cold = metrics.counter("serve.cache.miss");
     println!(
@@ -568,7 +571,7 @@ fn serve_session(
         if line.trim().is_empty() {
             continue;
         }
-        writeln!(writer, "{}", service.handle_line(&line).compact())?;
+        writeln!(writer, "{}", service.handle_line(&line))?;
         writer.flush()?;
         if let Some(log) = access {
             log.write_all(service.telemetry().drain_access_log().as_bytes())?;

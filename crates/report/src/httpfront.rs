@@ -3,7 +3,7 @@
 //!
 //! One function, [`handle`], maps a parsed [`HttpRequest`] onto the
 //! shared [`Service`] — the same service type the stdin frontend
-//! adapts, with one cache, one store tier and one metrics registry:
+//! adapts, with one result store and one metrics registry:
 //!
 //! | route | maps to |
 //! |---|---|
@@ -26,7 +26,8 @@
 //! answers its Chrome-trace document as `application/x-chrome-trace`
 //! when asked for, else as `application/json`; otherwise `text/plain`
 //! unwraps the result's rendered `text` field, `text/csv` its `csv`
-//! field, and anything else answers the canonical JSON envelope.
+//! field, and anything else answers the envelope line as the service
+//! spliced it. Only an unwrapped field needs the result parsed.
 //! `POST /query` always answers the raw frontend bytes (that route's
 //! whole point is byte-identity with the stdin loop).
 
@@ -76,12 +77,12 @@ pub fn handle(
         }
         ("GET", ["stats"]) => {
             let line = format!("{{\"kind\":\"{STATS_KIND}\"}}");
-            (json_line(&service.handle_line(&line)), After::Continue)
+            (json_line(service.handle_line(&line)), After::Continue)
         }
         ("POST", ["query"]) => (query(service, &req.body), After::Continue),
         ("POST", ["shutdown"]) => {
             let line = format!("{{\"kind\":\"{SHUTDOWN_KIND}\"}}");
-            (json_line(&service.handle_line(&line)), After::Shutdown)
+            (json_line(service.handle_line(&line)), After::Shutdown)
         }
         ("GET", ["table", id]) => catalog(service, req, table_request("table", id)),
         ("GET", ["figure", id]) => catalog(service, req, table_request("figure", id)),
@@ -131,7 +132,7 @@ fn query(service: &Service<CatalogExecutor>, body: &[u8]) -> HttpResponse {
     if text.trim().is_empty() {
         return HttpResponse::error(400, "query body must hold a request object or array");
     }
-    json_line(&service.handle_line(text))
+    json_line(service.handle_line(text))
 }
 
 /// Serves one catalog request document through the service and
@@ -145,43 +146,62 @@ fn catalog(
         Ok(d) => d,
         Err(msg) => return (HttpResponse::error(400, &msg), After::Continue),
     };
-    let envelope = service
-        .handle_batch(vec![Request::from_json(doc)])
+    let trace = doc.get("kind").and_then(Json::as_str) == Some("trace");
+    let answer = service
+        .answer_batch(vec![Request::from_json(doc)])
         .remove(0);
-    let Some(result) = envelope.get("result") else {
+    let Some(body) = answer.result() else {
         // The service rejected it (bad request, shed, over budget…):
         // surface the typed error envelope.
+        let mut line = answer.into_line();
+        line.push('\n');
         return (
             HttpResponse {
                 status: 400,
                 content_type: CT_JSON.to_string(),
-                body: format!("{}\n", envelope.compact()).into_bytes(),
+                body: line.into_bytes(),
             },
             After::Continue,
         );
     };
     let accept = http.accept();
-    if let Some(Json::Str(trace)) = result.get("trace") {
+    if trace || accept.contains("text/csv") || accept.contains("text/plain") {
+        if let Some((ct, field)) = unwrap_field(body, trace, accept) {
+            return (HttpResponse::ok(ct, field.into_bytes()), After::Continue);
+        }
+    }
+    (json_line(answer.into_line()), After::Continue)
+}
+
+/// The string field of the result `body` that a route's `accept` asks
+/// for, with its content type: a trace result's `trace` whatever is
+/// asked, else `csv` for `text/csv`, else `text` (or `csv`) for
+/// `text/plain`. Only that field is unescaped; the rest of the body is
+/// stepped over, not built.
+fn unwrap_field(body: &str, trace: bool, accept: &str) -> Option<(&'static str, String)> {
+    let field = |name: &str| pvc_core::json::string_field(body, name);
+    if trace {
         let ct = if accept.contains(CT_TRACE) { CT_TRACE } else { CT_JSON };
-        return (HttpResponse::ok(ct, trace.clone().into_bytes()), After::Continue);
+        return field("trace").map(|trace| (ct, trace));
     }
     if accept.contains("text/csv") {
-        if let Some(Json::Str(csv)) = result.get("csv") {
-            return (HttpResponse::ok(CT_CSV, csv.clone().into_bytes()), After::Continue);
+        if let Some(csv) = field("csv") {
+            return Some((CT_CSV, csv));
         }
     }
     if accept.contains("text/plain") {
-        if let Some(Json::Str(text)) = result.get("text") {
-            return (HttpResponse::ok(CT_TEXT, text.clone().into_bytes()), After::Continue);
+        if let Some(text) = field("text") {
+            return Some((CT_TEXT, text));
         }
-        if let Some(Json::Str(csv)) = result.get("csv") {
-            return (HttpResponse::ok(CT_CSV, csv.clone().into_bytes()), After::Continue);
+        if let Some(csv) = field("csv") {
+            return Some((CT_CSV, csv));
         }
     }
-    (json_line(&envelope), After::Continue)
+    None
 }
 
-/// A canonical-envelope JSON response line (stdin-frontend framing).
-fn json_line(envelope: &Json) -> HttpResponse {
-    HttpResponse::ok(CT_JSON, format!("{}\n", envelope.compact()).into_bytes())
+/// An answer line as a JSON response (stdin-frontend framing).
+fn json_line(mut line: String) -> HttpResponse {
+    line.push('\n');
+    HttpResponse::ok(CT_JSON, line.into_bytes())
 }

@@ -32,8 +32,8 @@
 //! `SPEC` is a '+'-joined chaos fault-token string (see
 //! [`pvc_arch::chaos::GRAMMAR`], e.g. `"xelink:0:0+clock:1.0"`). The
 //! spec's canonical spelling is part of the atom key, so degraded
-//! variants are first-class atoms: the LRU cache, single-flight dedup
-//! and coalescing all treat `{request}` and `{request, chaos}` as
+//! variants are first-class atoms: the result store, single-flight
+//! dedup and coalescing all treat `{request}` and `{request, chaos}` as
 //! distinct, while two spellings of the same spec coalesce.
 //!
 //! Every scenario-backed atom — the `pcie` sweep's per-mode atoms and
@@ -46,7 +46,7 @@
 //! `profile:<id>` atom whose result carries the trace too; `assemble`
 //! drops it from a profile answer and keeps only it in a trace answer.
 //! Every other kind is a single atom and benefits from single-flight
-//! dedup and the LRU cache.
+//! dedup and the result store.
 //!
 //! Errors are typed [`ScenarioError`]s end to end inside this module;
 //! they convert to `String` only at the `pvc_serve::Executor` trait
@@ -363,9 +363,12 @@ fn artifact_for(req: &Request) -> Result<Option<&'static Artifact>, ScenarioErro
 pub fn serve_requests(docs: Vec<Json>) -> Vec<Result<Json, Json>> {
     let service = Service::new(CatalogExecutor, ServeConfig::default());
     service
-        .handle_batch(docs.into_iter().map(Request::from_json).collect())
+        .answer_batch(docs.into_iter().map(Request::from_json).collect())
         .into_iter()
-        .map(|envelope| envelope.get("result").cloned().ok_or(envelope))
+        .map(|answer| match answer.result().map(pvc_core::json::parse) {
+            Some(Ok(result)) => Ok(result),
+            _ => Err(answer.to_json()),
+        })
         .collect()
 }
 

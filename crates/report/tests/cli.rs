@@ -179,6 +179,35 @@ fn query_twice_is_byte_identical_and_second_run_hits_cache() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// One store file has one writer: while another store holds the file,
+/// `warm` refuses it and `query` answers from memory, leaving it alone.
+#[test]
+fn a_locked_store_is_refused_by_warm_and_bypassed_by_query() {
+    let dir = std::env::temp_dir().join("pvc_cli_lock_test");
+    let _ = std::fs::remove_dir_all(&dir);
+    let req = write_request(&dir, "t2.json", r#"{"kind":"table","id":2}"#);
+    let path = dir.join("held.store");
+    let store = path.to_str().unwrap();
+    let fp = pvc_report::warm::build_fingerprint();
+    let (held, _) = pvc_store::Store::open(&path, fp).expect("store opens");
+    let before = std::fs::read(&path).unwrap();
+
+    let (_, stderr, ok) = reproduce(&["warm", "--store", store]);
+    assert!(!ok, "warm must not write a store another process holds");
+    assert!(stderr.contains("is locked by another open store"), "{stderr}");
+
+    let (out, stderr, ok) = reproduce(&["query", "--store", store, &req]);
+    assert!(ok, "{stderr}");
+    assert!(stderr.contains("locked by another open store; serving from memory"), "{stderr}");
+    assert_eq!(out, reproduce(&["query", &req]).0, "same answer as without a store");
+    assert_eq!(std::fs::read(&path).unwrap(), before, "the held file is untouched");
+
+    drop(held);
+    let (_, stderr, ok) = reproduce(&["query", "--store", store, &req]);
+    assert!(ok && stderr.contains(": loaded 0 records"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn query_saturated_queue_returns_typed_overloaded() {
     let dir = std::env::temp_dir().join("pvc_cli_overload_test");

@@ -313,10 +313,10 @@ fn assert_unknown_ablation(envelope: &Json, name: &str) {
 fn a_one_mib_string_field_gets_its_envelope_and_the_next_request_is_served() {
     let (line, name) = hostile_body();
     let service = Service::new(CatalogExecutor, ServeConfig::default());
-    let envelope = service.handle_line(&line);
+    let envelope = pvc_core::json::parse(&service.handle_line(&line)).expect("one envelope");
     assert_unknown_ablation(&envelope, &name);
     let healthy = service.handle_line(r#"{"kind":"table","id":2}"#);
-    assert!(healthy.get("result").is_some(), "{}", healthy.compact());
+    assert!(healthy.contains(r#""result":{"text":"#), "{healthy}");
 }
 
 #[test]
@@ -324,7 +324,7 @@ fn a_one_mib_query_body_gets_its_envelope_over_http_and_the_server_stays_up() {
     let (line, name) = hostile_body();
     let want = format!(
         "{}\n",
-        Service::new(CatalogExecutor, ServeConfig::default()).handle_line(&line).compact()
+        Service::new(CatalogExecutor, ServeConfig::default()).handle_line(&line)
     );
     let (addr, handle) = boot();
     let (mut w, mut r) = connect(addr);

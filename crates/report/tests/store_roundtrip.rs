@@ -3,14 +3,17 @@
 //! must be byte-deterministic on disk, and a perturbed build
 //! fingerprint must invalidate the whole store at open.
 //!
-//! Uses the canned CI corpus (one table, one figure, one PCIe sweep,
-//! one chaos run) rather than the full 110-request grid, so the suite
-//! stays fast; the full grid is exercised by `reproduce warm` in CI.
+//! Most tests use the canned CI corpus (one table, one figure, one PCIe
+//! sweep, one chaos run) so the suite stays fast; the splice-identity
+//! test walks the whole warm corpus, and `reproduce warm` in CI warms
+//! the full grid.
 
 use pvc_core::Json;
+use pvc_report::httpfront;
 use pvc_report::serve::{CatalogExecutor, CANNED_REQUESTS};
 use pvc_report::warm::{build_fingerprint, warm_corpus};
-use pvc_serve::{ServeConfig, Service};
+use pvc_serve::http::{HttpRequest, HttpResponse};
+use pvc_serve::{Request, ServeConfig, Service};
 use pvc_store::{OpenStatus, Store};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -35,7 +38,7 @@ impl Drop for Cleanup {
 
 fn catalog_with_store(path: &std::path::Path, fp: u64) -> (Service<CatalogExecutor>, OpenStatus) {
     let (store, report) = Store::open(path, fp).expect("store opens");
-    let mut s = Service::new(CatalogExecutor, ServeConfig::default());
+    let mut s = Service::new(CatalogExecutor, wide());
     s.attach_store(store, &report);
     (s, report.status)
 }
@@ -70,7 +73,7 @@ fn store_served_catalog_responses_are_byte_identical_to_computed() {
     let from_disk = answer_canned(&served);
     assert_eq!(from_disk, computed, "disk tier must preserve bytes exactly");
     let m = served.metrics();
-    assert_eq!(m.counter("serve.store.hit"), CANNED_REQUESTS.len() as u64);
+    assert_eq!(m.counter("serve.cache.hit"), CANNED_REQUESTS.len() as u64);
     assert_eq!(m.counter("serve.cache.miss"), 0, "zero cold computes");
     assert_eq!(m.counter("serve.atoms.executed"), 0, "no solver work");
 
@@ -141,4 +144,159 @@ fn salted_fingerprint_differs_and_rebuild_restores_service() {
     let rebuilt = s.handle_lines(&[one]).remove(0).compact();
     assert_eq!(rebuilt, fresh);
     assert_eq!(s.metrics().counter("serve.store.write"), 1);
+}
+
+/// Default knobs with a queue deep enough for the whole warm corpus.
+fn wide() -> ServeConfig {
+    ServeConfig {
+        queue_depth: 256,
+        ..ServeConfig::default()
+    }
+}
+
+/// Every corpus and canned request, as the frontends see it.
+fn corpus_and_canned() -> Vec<String> {
+    let mut lines = warm_corpus();
+    lines.extend(CANNED_REQUESTS.iter().map(|r| r.to_string()));
+    lines
+}
+
+fn get(path: &str, accept: &str) -> HttpRequest {
+    HttpRequest {
+        method: "GET".to_string(),
+        target: path.to_string(),
+        path: path.to_string(),
+        headers: vec![("accept".to_string(), accept.to_string())],
+        body: Vec::new(),
+    }
+}
+
+/// The catalog GET route serving `line`, if it has one: tables,
+/// figures, ablations and plain runs, plus the `/trace` route of each
+/// profile workload.
+fn route(line: &str) -> Option<String> {
+    let req = Request::parse(line).expect("corpus line parses");
+    let field = |name: &str| {
+        req.get(name)
+            .map(|v| v.as_str().map_or_else(|| v.compact(), str::to_string))
+    };
+    let pair = || Some(format!("{}/{}", field("workload")?, field("system")?));
+    match req.kind() {
+        "table" | "figure" => Some(format!("/{}/{}", req.kind(), field("id")?)),
+        "ablation" => Some(format!("/ablation/{}", field("name")?)),
+        "run" if req.get("chaos").is_none() => Some(format!("/run/{}", pair()?)),
+        "profile" => Some(format!("/trace/{}", pair()?)),
+        _ => None,
+    }
+}
+
+fn parts(resp: HttpResponse) -> (u16, String, Vec<u8>) {
+    (resp.status, resp.content_type, resp.body)
+}
+
+/// A hit is the stored body spliced into the envelope: over the whole
+/// corpus it is the same bytes as a fresh computation and as the
+/// `compact()` of the parsed view, and every catalog GET route answers
+/// the same from the store as from a computing service.
+#[test]
+fn every_corpus_answer_is_spliced_byte_identically() {
+    std::env::set_var("PVC_THREADS", "2");
+    let fp = build_fingerprint();
+    let (path, _guard) = scratch("splice");
+    let lines = corpus_and_canned();
+    let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
+    {
+        let (warmer, _) = catalog_with_store(&path, fp);
+        warmer.handle_lines(&refs);
+    }
+    let (warmed, status) = catalog_with_store(&path, fp);
+    assert_eq!(status, OpenStatus::Loaded);
+    let fresh = Service::new(CatalogExecutor, wide());
+    let mut routed = 0;
+    for line in &lines {
+        let from_store = warmed.handle_line(line);
+        assert_eq!(from_store, fresh.handle_line(line), "{line}");
+        assert_eq!(
+            from_store,
+            warmed.handle_lines(&[line])[0].compact(),
+            "{line}"
+        );
+        let Some(path) = route(line) else { continue };
+        routed += 1;
+        for accept in ["application/json", "text/plain", "text/csv"] {
+            let (a, _) = httpfront::handle(&warmed, &get(&path, accept));
+            let (b, _) = httpfront::handle(&fresh, &get(&path, accept));
+            let (a, b) = (parts(a), parts(b));
+            assert_eq!(a.0, 200, "{path} ({accept})");
+            assert!(
+                a == b,
+                "{path} ({accept}) differs between stored and computed"
+            );
+        }
+    }
+    // Tables, figures, ablations, runs and profiles, plus the canned
+    // table and figure lines.
+    assert_eq!(
+        routed,
+        6 + 4 + 5 + 63 + 24 + 2,
+        "every routable corpus request"
+    );
+    let m = warmed.metrics();
+    let traces = 24;
+    assert_eq!(
+        m.counter("serve.cache.miss"),
+        traces,
+        "only the /trace routes compute"
+    );
+    assert_eq!(m.counter("serve.atoms.executed"), traces);
+}
+
+/// Hits are spliced, not re-rendered: a body stored by hand with
+/// spacing `compact()` would never produce comes back verbatim, and the
+/// `text/plain` route unwraps its field.
+#[test]
+fn a_stored_body_is_served_verbatim() {
+    let fp = build_fingerprint();
+    let (path, _guard) = scratch("verbatim");
+    let table = Request::parse(r#"{"kind":"table","id":2}"#).unwrap();
+    let figure = Request::parse(r#"{"kind":"figure","id":2}"#).unwrap();
+    let table3 = Request::parse(r#"{"kind":"table","id":3}"#).unwrap();
+    let spaced = "{ \"text\" : \"hand written\" ,\n  \"rows\": [1, 2.50] }";
+    {
+        let (mut store, _) = Store::open(&path, fp).expect("store opens");
+        assert!(store
+            .put(table.key(), table.text(), spaced.as_bytes())
+            .unwrap());
+        assert!(store.put(figure.key(), figure.text(), b"not json").unwrap());
+        assert!(store.put(table3.key(), table3.text(), &[0xff, 0xfe]).unwrap());
+    }
+    let (s, _) = catalog_with_store(&path, fp);
+    let line = s.handle_line(r#"{"id":2,"kind":"table"}"#);
+    let want = format!(
+        "{{\"key\":\"{}\",\"request\":{},\"result\":{spaced}}}",
+        table.key_hex(),
+        table.canon().compact()
+    );
+    assert_eq!(line, want);
+    let (resp, _) = httpfront::handle(&s, &get("/table/2", "text/plain"));
+    assert_eq!(resp.body, b"hand written");
+    // Bytes that are not JSON splice verbatim on the line path too; the
+    // parsed view cannot hold them and answers a typed failure instead.
+    assert!(s
+        .handle_line(r#"{"kind":"figure","id":2}"#)
+        .ends_with(r#""result":not json}"#));
+    let view = s.handle_lines(&[r#"{"kind":"figure","id":2}"#]).remove(0);
+    let kind = view
+        .get("error")
+        .and_then(|e| e.get("kind"))
+        .and_then(Json::as_str);
+    assert_eq!(kind, Some("failed"), "{}", view.compact());
+    assert_eq!(s.metrics().counter("serve.cache.hit"), 4);
+    assert_eq!(s.metrics().counter("serve.atoms.executed"), 0);
+    // Bytes that are not text cannot be spliced: the request is
+    // computed instead, and the stored record is kept as it is.
+    let computed = Service::new(CatalogExecutor, wide()).handle_line(r#"{"kind":"table","id":3}"#);
+    assert_eq!(s.handle_line(r#"{"kind":"table","id":3}"#), computed);
+    assert_eq!(s.metrics().counter("serve.store.bad_value"), 1);
+    assert_eq!(s.metrics().counter("serve.cache.miss"), 1);
 }

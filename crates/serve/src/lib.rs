@@ -9,15 +9,16 @@
 //! * [`request`] — the canonical request envelope: a JSON object with a
 //!   `kind` field, normalised to sorted-key canonical bytes and
 //!   content-addressed with an FNV-1a 64-bit hash.
-//! * [`cache`] — an LRU result cache keyed by that hash (with a
-//!   full-text guard against hash collisions).
 //! * [`batch`] — the execution plan for one admitted batch:
 //!   single-flight dedup of identical requests plus **atom
 //!   coalescing** — compatible sweep requests decompose into shared
 //!   atoms, each unique atom simulated once per pass.
-//! * [`service`] — [`Service`](service::Service): one LRU, one
-//!   optional [`pvc_store::Store`] disk tier and one bounded admission
-//!   queue per process. Carries admission control (typed
+//! * [`service`] — [`Service`](service::Service): one
+//!   [`pvc_store::Store`] result tier (keyed by that hash, with a
+//!   full-text guard against collisions; file-backed under `--store`,
+//!   else in memory) and one bounded admission queue per process. A
+//!   hit is spliced from the stored bytes into the answer line.
+//!   Carries admission control (typed
 //!   [`ServeError::Overloaded`] load shedding), deterministic
 //!   per-request cost budgets, and parallel atom execution on
 //!   [`pvc_core::par`]. `serve.*` counters are exported through a
@@ -38,22 +39,20 @@
 //! an [`Executor`](service::Executor) implementation (the paper catalog
 //! executor lives in `pvc-report`, which also wires the `reproduce
 //! serve` / `reproduce query` frontends). Because execution is
-//! deterministic, a cached response and a freshly computed one are
+//! deterministic, a stored response and a freshly computed one are
 //! byte-identical — the test suites here and in `pvc-report` enforce
 //! that end to end.
 
 pub mod batch;
-pub mod cache;
 pub mod http;
 pub mod request;
 pub mod service;
 pub mod telemetry;
 
 pub use batch::{Atom, BatchPlan};
-pub use cache::ResultCache;
 pub use http::{After, HttpRequest, HttpResponse};
 pub use request::{fnv1a64, Request};
-pub use service::{Executor, ServeConfig, Service, SHUTDOWN_KIND, STATS_KIND};
+pub use service::{Answer, Executor, ServeConfig, Service, SHUTDOWN_KIND, STATS_KIND};
 pub use telemetry::{Anomaly, Outcome, RequestTelemetry, Telemetry};
 
 /// `Service` under its older name; `perfbench/src/traced.rs` is its only caller.

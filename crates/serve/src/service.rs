@@ -1,7 +1,7 @@
 //! The service: the [`Executor`] contract, the [`ServeConfig`] knobs,
 //! and the batching, caching [`Service`] itself.
 //!
-//! One call to [`Service::handle_batch`] processes one admitted batch
+//! One call to [`Service::answer_batch`] processes one admitted batch
 //! deterministically:
 //!
 //! 1. malformed inputs are answered with `bad_request` envelopes;
@@ -11,48 +11,44 @@
 //!    `shutdown` kind is acknowledged immediately and latches the
 //!    [`Service::shutdown_requested`] flag frontends poll to exit
 //!    their accept loops gracefully;
-//! 3. the LRU cache is probed — hits are answered immediately and
-//!    consume **no** queue slot, so a warm cache keeps serving under
-//!    overload;
-//! 4. when a persistent [`pvc_store::Store`] is attached
-//!    ([`Service::attach_store`]), it is probed next: a store hit is
-//!    answered from disk, **promoted into the LRU**, and consumes no
-//!    queue slot either;
-//! 5. identical in-flight requests are collapsed (single-flight) onto
+//! 3. the service's one [`pvc_store::Store`] is probed — a hit is
+//!    spliced from the stored bytes and consumes **no** queue slot, so
+//!    a warm store keeps serving under overload;
+//! 4. identical in-flight requests are collapsed (single-flight) onto
 //!    one computation;
-//! 6. the request decomposes into atoms ([`Executor::atoms`]); one the
+//! 5. the request decomposes into atoms ([`Executor::atoms`]); one the
 //!    executor cannot plan is the client's mistake, answered
 //!    `bad_request` without a queue slot or a per-kind metric;
-//! 7. the bounded queue admits at most `queue_depth` unique
+//! 6. the bounded queue admits at most `queue_depth` unique
 //!    computations; the rest are shed with a typed
 //!    [`ServeError::Overloaded`];
-//! 8. each admitted request's deterministic cost estimate must fit its
+//! 7. each admitted request's deterministic cost estimate must fit its
 //!    budget (request `budget` field, else the configured default) or
 //!    it is rejected with [`ServeError::DeadlineExceeded`];
-//! 9. overlapping sweep atoms of the admitted requests coalesce
+//! 8. overlapping sweep atoms of the admitted requests coalesce
 //!    ([`BatchPlan`]), and the unique atoms execute in parallel on
 //!    [`pvc_core::par`];
-//! 10. atom results merge back per request in index order, then each
-//!     response is committed (disk store, then LRU) and fanned out to
-//!     every waiter in input order.
+//! 9. atom results merge back per request in index order; each body is
+//!    rendered once, committed to the store, and its envelope spliced
+//!    from those bytes is fanned out to every waiter in input order.
 //!
 //! Every step resolves to a typed [`Outcome`], which is the single
 //! source of truth for the `serve.*` counter spelling and — when a
 //! [`Telemetry`] handle is attached — the per-request access-log
 //! record and flight-recorder entry.
 //!
-//! Because every executor is deterministic, a response served from any
-//! tier is byte-identical to one computed fresh — only the counters can
-//! tell them apart.
+//! Because every executor is deterministic, a response served from the
+//! store is byte-identical to one computed fresh — only the counters
+//! can tell them apart.
 
 use crate::batch::{Atom, BatchPlan};
-use crate::cache::ResultCache;
 use crate::request::Request;
 use crate::telemetry::{Outcome, RequestTelemetry, Telemetry};
 use crate::ServeError;
 use pvc_core::{par, Json};
 use pvc_obs::Metrics;
 use std::cell::{Cell, RefCell};
+use std::ops::Range;
 
 /// The reserved introspection request kind answered by the service
 /// itself (never forwarded to the executor, never cached).
@@ -107,8 +103,6 @@ pub trait Executor: Sync {
 pub struct ServeConfig {
     /// Maximum unique computations admitted per batch; the rest shed.
     pub queue_depth: usize,
-    /// LRU cache capacity in entries (0 disables caching).
-    pub cache_capacity: usize,
     /// Budget applied when a request carries no `budget` field.
     pub default_budget: u64,
 }
@@ -117,29 +111,89 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             queue_depth: 32,
-            cache_capacity: 64,
             default_budget: 64,
         }
     }
 }
 
-/// The batching, caching query service around an [`Executor`]: one LRU,
-/// one optional disk tier and one bounded admission queue. Every
-/// frontend (stdin, HTTP) is a thin adapter over this one type.
+/// One answered request: its envelope as one compact JSON line.
+#[derive(Debug, Clone)]
+pub struct Answer {
+    line: String,
+    /// Where the `result` body sits in `line`; `None` for an error
+    /// envelope.
+    result: Option<Range<usize>>,
+}
+
+impl Answer {
+    /// The `ok` envelope spliced around `body`, the result's compact
+    /// bytes: `{"key":…,"request":<canonical request>,"result":<body>}`.
+    /// The same bytes `compact()` renders for that envelope as a tree.
+    fn ok(req: &Request, body: &str) -> Answer {
+        let key = req.key_hex();
+        let request = req.canon().compact();
+        let mut line = String::with_capacity(key.len() + request.len() + body.len() + 32);
+        line.push_str("{\"key\":\"");
+        line.push_str(&key);
+        line.push_str("\",\"request\":");
+        line.push_str(&request);
+        line.push_str(",\"result\":");
+        let start = line.len();
+        line.push_str(body);
+        let result = Some(start..line.len());
+        line.push('}');
+        Answer { line, result }
+    }
+
+    /// An error envelope (see [`err_envelope`]), rendered.
+    fn error(envelope: &Json) -> Answer {
+        Answer { line: envelope.compact(), result: None }
+    }
+
+    /// The envelope line (compact JSON, no trailing newline).
+    pub fn line(&self) -> &str {
+        &self.line
+    }
+
+    /// The envelope line, owned.
+    pub fn into_line(self) -> String {
+        self.line
+    }
+
+    /// The `result` body's compact JSON bytes; `None` when the request
+    /// was refused or failed.
+    pub fn result(&self) -> Option<&str> {
+        self.result.clone().map(|r| &self.line[r])
+    }
+
+    /// The envelope as a JSON tree (a parse of [`Answer::line`]). A
+    /// stored body is served as it was stored; should one not parse
+    /// (a forged store file), the tree is a `failed` envelope instead.
+    pub fn to_json(&self) -> Json {
+        pvc_core::json::parse(&self.line).unwrap_or_else(|e| {
+            err_envelope(None, &ServeError::Failed(format!("stored result is not JSON: {e}")))
+        })
+    }
+}
+
+/// The batching, caching query service around an [`Executor`]: one
+/// result store and one bounded admission queue. Every frontend
+/// (stdin, HTTP) is a thin adapter over this one type.
 pub struct Service<E> {
     cfg: ServeConfig,
     exec: E,
-    cache: RefCell<ResultCache>,
-    /// The persistent second tier, probed on LRU misses.
-    store: RefCell<Option<pvc_store::Store>>,
+    /// The one cache tier: the `--store` file when attached, else an
+    /// in-memory store. Every computed answer is kept.
+    store: RefCell<pvc_store::Store>,
     metrics: Metrics,
     telemetry: Telemetry,
     shutdown: Cell<bool>,
 }
 
 enum Slot {
-    /// Answered already (error, cache hit, or shutdown ack).
-    Done(Json),
+    /// Answered already: a store hit or the shutdown ack, or the error
+    /// envelope of a request refused before admission.
+    Done(Result<Answer, Json>),
     /// Waiting on unique computation `u`.
     Waiting(usize),
     /// A reserved stats request, answered after the batch resolves.
@@ -165,14 +219,14 @@ fn rejected(key: Option<String>) -> RequestTelemetry {
 }
 
 impl<E: Executor> Service<E> {
-    /// A service over `exec` with the given knobs. Telemetry starts
-    /// disabled; attach a recorder with [`Service::set_telemetry`].
+    /// A service over `exec` with the given knobs and an in-memory
+    /// store. Telemetry starts disabled; attach a recorder with
+    /// [`Service::set_telemetry`].
     pub fn new(exec: E, cfg: ServeConfig) -> Self {
         Service {
-            cache: RefCell::new(ResultCache::new(cfg.cache_capacity)),
             cfg,
             exec,
-            store: RefCell::new(None),
+            store: RefCell::new(pvc_store::Store::in_memory()),
             metrics: Metrics::new(),
             telemetry: Telemetry::disabled(),
             shutdown: Cell::new(false),
@@ -184,9 +238,9 @@ impl<E: Executor> Service<E> {
         &self.metrics
     }
 
-    /// Attaches `store` as the persistent second tier (probe order
-    /// LRU → store → compute) and exports the open report through the
-    /// metrics: `store.open.records` (valid prefix loaded),
+    /// Replaces the service's store with `store` (the `--store` file)
+    /// and exports the open report through the metrics:
+    /// `store.open.records` (valid prefix loaded),
     /// `store.open.invalidated` (stale fingerprint reset the store),
     /// `store.open.tail_corrupt` / `store.open.dropped_bytes` (torn or
     /// bit-flipped tail truncated away), and the `store.entries` gauge.
@@ -200,7 +254,7 @@ impl<E: Executor> Service<E> {
             self.metrics.count("store.open.dropped_bytes", report.dropped_bytes);
         }
         self.metrics.gauge("store.entries", store.len() as f64);
-        *self.store.get_mut() = Some(store);
+        *self.store.get_mut() = store;
     }
 
     /// `attach_store` under its older name; `perfbench/src/traced.rs` is its only caller.
@@ -215,9 +269,9 @@ impl<E: Executor> Service<E> {
         self.attach_store(store, report);
     }
 
-    /// Records in the attached store (0 when none).
+    /// Records in the service's store.
     pub fn store_len(&self) -> usize {
-        self.store.borrow().as_ref().map_or(0, pvc_store::Store::len)
+        self.store.borrow().len()
     }
 
     /// Attaches a telemetry recorder (access log + flight recorder).
@@ -228,11 +282,6 @@ impl<E: Executor> Service<E> {
     /// The attached telemetry handle.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
-    }
-
-    /// Live cache entries.
-    pub fn cache_len(&self) -> usize {
-        self.cache.borrow().len()
     }
 
     /// The executor (for frontends that need catalog introspection).
@@ -252,26 +301,32 @@ impl<E: Executor> Service<E> {
         self.handle_batch(lines.iter().map(|l| Request::parse(l)).collect())
     }
 
+    /// [`Service::answer_batch`] with each envelope parsed into a tree.
+    pub fn handle_batch(&self, inputs: Vec<Result<Request, ServeError>>) -> Vec<Json> {
+        self.answer_batch(inputs).iter().map(Answer::to_json).collect()
+    }
+
     /// Serves one frontend line, the protocol the stdin loop and
-    /// `POST /query` share: a request object is answered with one
-    /// envelope, a JSON array is served as one batch and answered with
-    /// one array of envelopes (a malformed array with a one-element
-    /// array holding the `bad_request` envelope).
-    pub fn handle_line(&self, line: &str) -> Json {
+    /// `POST /query` share, and returns the compact answer line: a
+    /// request object is answered with one envelope, a JSON array is
+    /// served as one batch and answered with one array of envelopes (a
+    /// malformed array with a one-element array holding the
+    /// `bad_request` envelope).
+    pub fn handle_line(&self, line: &str) -> String {
         let line = line.trim();
         match pvc_core::json::parse(line) {
             Ok(Json::Arr(items)) => {
-                Json::Arr(self.handle_batch(items.into_iter().map(Request::from_json).collect()))
+                array_line(self.answer_batch(items.into_iter().map(Request::from_json).collect()))
             }
             parsed => {
                 let input = parsed
                     .map_err(|e| ServeError::BadRequest(e.to_string()))
                     .and_then(Request::from_json);
-                let mut envelopes = self.handle_batch(vec![input]);
+                let mut answers = self.answer_batch(vec![input]);
                 if line.starts_with('[') {
-                    Json::Arr(envelopes)
+                    array_line(answers)
                 } else {
-                    envelopes.remove(0)
+                    answers.remove(0).into_line()
                 }
             }
         }
@@ -279,8 +334,8 @@ impl<E: Executor> Service<E> {
 
     /// Serves one batch of parsed requests (parse failures included, so
     /// their envelopes stay in position). Never panics, never blocks
-    /// indefinitely: every input gets exactly one envelope.
-    pub fn handle_batch(&self, inputs: Vec<Result<Request, ServeError>>) -> Vec<Json> {
+    /// indefinitely: every input gets exactly one answer.
+    pub fn answer_batch(&self, inputs: Vec<Result<Request, ServeError>>) -> Vec<Answer> {
         self.metrics.count("serve.requests", inputs.len() as u64);
         let recording = self.telemetry.enabled();
         let mut slots: Vec<Slot> = Vec::with_capacity(inputs.len());
@@ -295,7 +350,7 @@ impl<E: Executor> Service<E> {
                 Ok(r) => r,
                 Err(e) => {
                     self.metrics.count(Outcome::BadRequest.as_metric_name(), 1);
-                    slots.push(Slot::Done(err_envelope(None, e)));
+                    slots.push(Slot::Done(Err(err_envelope(None, e))));
                     if recording {
                         pending.push((rejected(None), None));
                     }
@@ -321,7 +376,7 @@ impl<E: Executor> Service<E> {
                 }
                 let record = RequestTelemetry {
                     seq: 0,
-                    kind: request_kind(req),
+                    kind: req.kind().to_string(),
                     key: Some(req.key_hex()),
                     outcome,
                     cost,
@@ -355,7 +410,7 @@ impl<E: Executor> Service<E> {
             par::map_collect(atoms.len(), |i| exec.execute_atom(&atoms[i]));
 
         // Merge executor-reported work counters on the main thread, in
-        // atom order (cache hits re-run nothing, so they add none).
+        // atom order (store hits re-run nothing, so they add none).
         for (atom, result) in atoms.iter().zip(&atom_results) {
             if let Ok(body) = result {
                 for (name, n) in self.exec.work_counters(atom, body) {
@@ -364,37 +419,31 @@ impl<E: Executor> Service<E> {
             }
         }
 
-        // Assemble one envelope per unique computation and commit it
-        // (disk store, then LRU).
-        let mut outcomes: Vec<Json> = Vec::with_capacity(unique.len());
-        let mut unique_failed: Vec<bool> = Vec::with_capacity(unique.len());
-        for (u, req) in unique.iter().enumerate() {
-            let body = plan.assignments[u]
-                .iter()
-                .map(|&a| atom_results[a].clone())
-                .collect::<Result<Vec<Json>, String>>()
-                .and_then(|parts| self.exec.assemble(req, parts));
-            match body {
-                Ok(body) => {
-                    self.commit(req, &body);
-                    outcomes.push(ok_envelope(req, body));
-                    unique_failed.push(false);
-                }
-                Err(msg) => {
-                    self.metrics.count(Outcome::Failed.as_metric_name(), 1);
-                    outcomes.push(err_envelope(Some(req), &ServeError::Failed(msg)));
-                    unique_failed.push(true);
-                }
-            }
-        }
-        self.metrics.gauge("serve.cache.entries", self.cache_len() as f64);
-        if let Some(store) = self.store.borrow().as_ref() {
-            self.metrics.gauge("store.entries", store.len() as f64);
-        }
+        // Assemble one answer per unique computation, committing each
+        // computed body to the store.
+        let outcomes: Vec<Result<Answer, Json>> = unique
+            .iter()
+            .enumerate()
+            .map(|(u, req)| {
+                plan.assignments[u]
+                    .iter()
+                    .map(|&a| atom_results[a].clone())
+                    .collect::<Result<Vec<Json>, String>>()
+                    .and_then(|parts| self.exec.assemble(req, parts))
+                    .map(|body| self.commit(req, &body))
+                    .map_err(|msg| {
+                        self.metrics.count(Outcome::Failed.as_metric_name(), 1);
+                        err_envelope(Some(req), &ServeError::Failed(msg))
+                    })
+            })
+            .collect();
+        self.metrics.gauge("store.entries", self.store_len() as f64);
 
         // Record telemetry for every non-stats input, in input order,
         // before the stats body is built — so a stats request in the
         // same batch already sees this batch in the flight recorder.
+        // Only a refused or failed request's envelope is kept (as the
+        // pinned anomaly), so an ok answer passes `Json::Null`.
         let mut stats_records = Vec::new();
         for (i, (mut record, waiting)) in pending.into_iter().enumerate() {
             if record.outcome == Outcome::Stats {
@@ -402,45 +451,49 @@ impl<E: Executor> Service<E> {
                 continue;
             }
             match waiting {
-                Some(u) if unique_failed[u] => record.outcome = Outcome::Failed,
+                Some(u) if outcomes[u].is_err() => record.outcome = Outcome::Failed,
                 Some(u) => record.atoms = Some(plan.assignments[u].len() as u64),
                 None => {}
             }
-            let envelope = match &slots[i] {
-                Slot::Done(env) => env,
-                Slot::Waiting(u) => &outcomes[*u],
+            let refused = match &slots[i] {
+                Slot::Done(done) => done.as_ref().err(),
+                Slot::Waiting(u) => outcomes[*u].as_ref().err(),
                 Slot::Stats => unreachable!("stats recorded below"),
             };
             let text = inputs[i].as_ref().ok().map(|r| r.text());
-            self.telemetry.record(record, text, envelope);
+            self.telemetry.record(record, text, refused.unwrap_or(&Json::Null));
         }
 
         // Answer stats requests last: one body reflecting the whole
-        // batch, shared by every stats input, never cached.
+        // batch, shared by every stats input, never stored.
         let stats_body = slots
             .iter()
             .any(|s| matches!(s, Slot::Stats))
-            .then(|| self.stats_body());
+            .then(|| self.stats_body().compact());
 
-        let responses: Vec<Json> = slots
-            .iter()
+        let answers: Vec<Answer> = slots
+            .into_iter()
             .enumerate()
             .map(|(i, s)| match s {
-                Slot::Done(env) => env.clone(),
-                Slot::Waiting(u) => outcomes[*u].clone(),
+                Slot::Done(Ok(answer)) => answer,
+                Slot::Done(Err(env)) => Answer::error(&env),
+                Slot::Waiting(u) => match &outcomes[u] {
+                    Ok(answer) => answer.clone(),
+                    Err(env) => Answer::error(env),
+                },
                 Slot::Stats => {
                     let req = inputs[i].as_ref().expect("stats slots carry a request");
-                    ok_envelope(req, stats_body.clone().expect("built above"))
+                    Answer::ok(req, stats_body.as_deref().expect("built above"))
                 }
             })
             .collect();
 
         for (i, record) in stats_records {
             let text = inputs[i].as_ref().ok().map(|r| r.text());
-            self.telemetry.record(record, text, &responses[i]);
+            self.telemetry.record(record, text, &Json::Null);
         }
 
-        responses
+        answers
     }
 
     /// Runs one parsed request through the admission pipeline, pushing
@@ -452,19 +505,18 @@ impl<E: Executor> Service<E> {
         unique: &mut Vec<(Request, Vec<Atom>)>,
         slots: &mut Vec<Slot>,
     ) -> Outcome {
-        if request_kind(req) == STATS_KIND {
+        if req.kind() == STATS_KIND {
             slots.push(Slot::Stats);
             return Outcome::Stats;
         }
-        if request_kind(req) == SHUTDOWN_KIND {
+        if req.kind() == SHUTDOWN_KIND {
             self.shutdown.set(true);
-            let ack = Json::obj(vec![("shutting_down", Json::Bool(true))]);
-            slots.push(Slot::Done(ok_envelope(req, ack)));
+            slots.push(Slot::Done(Ok(Answer::ok(req, r#"{"shutting_down":true}"#))));
             return Outcome::Shutdown;
         }
-        if let Some((body, outcome)) = self.probe(req) {
-            slots.push(Slot::Done(ok_envelope(req, body)));
-            return outcome;
+        if let Some(answer) = self.probe(req) {
+            slots.push(Slot::Done(Ok(answer)));
+            return Outcome::Hit;
         }
         if let Some(u) = unique
             .iter()
@@ -476,20 +528,20 @@ impl<E: Executor> Service<E> {
         let atoms = match self.exec.atoms(req) {
             Ok(atoms) => atoms,
             Err(msg) => {
-                slots.push(Slot::Done(err_envelope(Some(req), &ServeError::BadRequest(msg))));
+                slots.push(Slot::Done(Err(err_envelope(Some(req), &ServeError::BadRequest(msg)))));
                 return Outcome::BadRequest;
             }
         };
         if unique.len() >= self.cfg.queue_depth {
             let e = ServeError::Overloaded { depth: self.cfg.queue_depth };
-            slots.push(Slot::Done(err_envelope(Some(req), &e)));
+            slots.push(Slot::Done(Err(err_envelope(Some(req), &e))));
             return Outcome::Overload;
         }
         let cost = self.exec.cost(req);
         let budget = req.budget().unwrap_or(self.cfg.default_budget);
         if cost > budget {
             let e = ServeError::DeadlineExceeded { cost, budget };
-            slots.push(Slot::Done(err_envelope(Some(req), &e)));
+            slots.push(Slot::Done(Err(err_envelope(Some(req), &e))));
             return Outcome::Deadline;
         }
         slots.push(Slot::Waiting(unique.len()));
@@ -497,52 +549,41 @@ impl<E: Executor> Service<E> {
         Outcome::Miss
     }
 
-    /// Probes the tiers in order: LRU, then disk. A store hit is
-    /// promoted into the LRU so the next identical request stays in
-    /// memory; an LRU hit never touches disk. `None` means compute.
-    fn probe(&self, req: &Request) -> Option<(Json, Outcome)> {
-        let mut cache = self.cache.borrow_mut();
-        if let Some(body) = cache.get(req.key(), req.text()) {
-            return Some((body, Outcome::Hit));
-        }
+    /// The one probe: a stored body is spliced into the envelope as it
+    /// is, never parsed. `None` means compute.
+    fn probe(&self, req: &Request) -> Option<Answer> {
         let store = self.store.borrow();
-        let Some(bytes) = store.as_ref()?.get(req.key(), req.text()) else {
-            self.metrics.count("serve.store.miss", 1);
-            return None;
-        };
-        let Some(body) = parse_stored_body(bytes) else {
-            // A record that frames correctly but does not parse as
-            // JSON: degrade to recompute, count it.
-            self.metrics.count("serve.store.bad_value", 1);
-            return None;
-        };
-        let evicted = cache.insert(req.key(), req.text(), body.clone());
-        self.metrics.count("serve.cache.evict", evicted as u64);
-        Some((body, Outcome::StoreHit))
-    }
-
-    /// Commits a freshly computed response: persists it to the disk
-    /// tier (when one is attached), then inserts it into the LRU. The
-    /// stored bytes are the compact body, so a later store hit
-    /// re-parses to byte-identical JSON.
-    fn commit(&self, req: &Request, body: &Json) {
-        if let Some(store) = self.store.borrow_mut().as_mut() {
-            match store.put(req.key(), req.text(), body.compact().as_bytes()) {
-                Ok(true) => self.metrics.count("serve.store.write", 1),
-                Ok(false) => {}
-                // An append failure (disk full, permissions) degrades
-                // to serving without persistence.
-                Err(_) => self.metrics.count("serve.store.write_error", 1),
+        let bytes = store.get(req.key(), req.text())?;
+        match std::str::from_utf8(bytes) {
+            Ok(body) => Some(Answer::ok(req, body)),
+            Err(_) => {
+                // A record that frames correctly but is not text:
+                // degrade to recompute, count it.
+                self.metrics.count("serve.store.bad_value", 1);
+                None
             }
         }
-        let evicted = self.cache.borrow_mut().insert(req.key(), req.text(), body.clone());
-        self.metrics.count("serve.cache.evict", evicted as u64);
+    }
+
+    /// The one commit: renders a freshly computed body once, stores
+    /// those bytes and answers from them. Every computed answer is
+    /// kept, so a later identical request is a [`Service::probe`] hit.
+    fn commit(&self, req: &Request, body: &Json) -> Answer {
+        let bytes = body.compact();
+        match self.store.borrow_mut().put(req.key(), req.text(), bytes.as_bytes()) {
+            Ok(true) => self.metrics.count("serve.store.write", 1),
+            Ok(false) => {}
+            // An append failure (disk full, permissions) degrades to
+            // serving without persistence.
+            Err(_) => self.metrics.count("serve.store.write_error", 1),
+        }
+        Answer::ok(req, &bytes)
     }
 
     /// Records `cost` into the per-kind virtual-cost histogram
     /// (`serve.cost.<kind>`), declaring it on first use.
     fn observe_cost(&self, req: &Request, cost: u64) {
-        let name = format!("serve.cost.{}", request_kind(req));
+        let name = format!("serve.cost.{}", req.kind());
         if !self.metrics.has_histogram(&name) {
             self.metrics.declare_histogram(&name, &COST_BOUNDS);
         }
@@ -601,14 +642,6 @@ impl<E: Executor> Service<E> {
     }
 }
 
-/// The request's `kind` field (guaranteed present by request parsing).
-fn request_kind(req: &Request) -> String {
-    match req.canon().get("kind") {
-        Some(Json::Str(k)) => k.clone(),
-        _ => "?".to_string(),
-    }
-}
-
 /// The request's chaos spec, if it carries one.
 fn request_chaos(req: &Request) -> Option<String> {
     match req.canon().get("chaos") {
@@ -618,21 +651,17 @@ fn request_chaos(req: &Request) -> Option<String> {
     }
 }
 
-/// Decodes a stored record back into a response body. Stored values are
-/// the compact JSON bytes of the body; parsing preserves key order, so
-/// re-serialisation reproduces the original bytes exactly.
-fn parse_stored_body(bytes: &[u8]) -> Option<Json> {
-    let text = std::str::from_utf8(bytes).ok()?;
-    pvc_core::json::parse(text).ok()
-}
-
-/// Success envelope: content address, normalised request, result body.
-fn ok_envelope(req: &Request, body: Json) -> Json {
-    Json::obj(vec![
-        ("key", Json::str(req.key_hex())),
-        ("request", req.canon().clone()),
-        ("result", body),
-    ])
+/// Answers as one compact JSON array line, in order.
+fn array_line(answers: Vec<Answer>) -> String {
+    let mut line = String::from("[");
+    for (i, answer) in answers.iter().enumerate() {
+        if i > 0 {
+            line.push(',');
+        }
+        line.push_str(answer.line());
+    }
+    line.push(']');
+    line
 }
 
 /// Error envelope; carries the request context when it parsed.
@@ -644,4 +673,37 @@ fn err_envelope(req: Option<&Request>, err: &ServeError) -> Json {
     }
     pairs.push(("error", err.to_json()));
     Json::obj(pairs)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The spliced envelope is the bytes `compact()` renders for the
+    /// same envelope built as a tree, key order included.
+    #[test]
+    fn spliced_ok_envelope_equals_the_rendered_tree() {
+        let body = Json::obj(vec![
+            ("text", Json::str("line 1\n\"quoted\" é")),
+            ("rows", Json::Arr(vec![Json::Int(-3), Json::Num(0.25), Json::Null])),
+        ]);
+        for doc in [
+            r#"{"kind":"table","id":2}"#,
+            r#"{"system":"aurora","kind":"run","workload":"stream-triad","budget":9}"#,
+            r#"{"kind":"pcie","modes":["h2d","d2h"],"nested":{"b":1,"a":"\u00e9"}}"#,
+        ] {
+            let req = Request::parse(doc).unwrap();
+            let tree = Json::obj(vec![
+                ("key", Json::str(req.key_hex())),
+                ("request", req.canon().clone()),
+                ("result", body.clone()),
+            ]);
+            let answer = Answer::ok(&req, &body.compact());
+            assert_eq!(answer.line(), tree.compact(), "{doc}");
+            assert_eq!(answer.result(), Some(body.compact().as_str()));
+            assert_eq!(answer.to_json(), tree);
+        }
+        let refused = err_envelope(None, &ServeError::BadRequest("no".into()));
+        assert_eq!(Answer::error(&refused).result(), None);
+    }
 }

@@ -26,11 +26,8 @@ pub enum Outcome {
     /// The input line did not parse into a request, or the executor
     /// could not plan it.
     BadRequest,
-    /// Answered from the in-memory LRU result cache.
+    /// Answered from the service's result store.
     Hit,
-    /// Answered from the persistent disk store (and promoted into the
-    /// LRU, so the next identical request is a plain `Hit`).
-    StoreHit,
     /// Collapsed onto an identical in-flight computation.
     Dedup,
     /// Shed by bounded-queue admission control.
@@ -55,7 +52,6 @@ impl Outcome {
         match self {
             Outcome::BadRequest => "serve.rejected.bad_request",
             Outcome::Hit => "serve.cache.hit",
-            Outcome::StoreHit => "serve.store.hit",
             Outcome::Dedup => "serve.singleflight.deduped",
             Outcome::Overload => "serve.rejected.overload",
             Outcome::Deadline => "serve.rejected.deadline",
@@ -71,7 +67,6 @@ impl Outcome {
         match self {
             Outcome::BadRequest => "bad_request",
             Outcome::Hit => "hit",
-            Outcome::StoreHit => "store_hit",
             Outcome::Dedup => "dedup",
             Outcome::Overload => "shed",
             Outcome::Deadline => "deadline",
@@ -87,7 +82,6 @@ impl Outcome {
         matches!(
             self,
             Outcome::Hit
-                | Outcome::StoreHit
                 | Outcome::Dedup
                 | Outcome::Miss
                 | Outcome::Stats
@@ -96,10 +90,9 @@ impl Outcome {
     }
 
     /// Every outcome, in a stable order (for exhaustiveness tests).
-    pub const ALL: [Outcome; 10] = [
+    pub const ALL: [Outcome; 9] = [
         Outcome::BadRequest,
         Outcome::Hit,
-        Outcome::StoreHit,
         Outcome::Dedup,
         Outcome::Overload,
         Outcome::Deadline,
@@ -247,7 +240,9 @@ impl Telemetry {
     /// appends the access-log line when a log is kept, pushes it into
     /// the flight-recorder ring (evicting the oldest past capacity),
     /// and — for any outcome that did not produce a result — pins the
-    /// full anomaly trace.
+    /// full anomaly trace. `envelope` is the error envelope the client
+    /// received; only an anomaly keeps it, so an ok outcome may pass
+    /// `Json::Null`.
     pub fn record(
         &self,
         mut t: RequestTelemetry,
@@ -341,7 +336,6 @@ mod tests {
             vec![
                 "serve.rejected.bad_request",
                 "serve.cache.hit",
-                "serve.store.hit",
                 "serve.singleflight.deduped",
                 "serve.rejected.overload",
                 "serve.rejected.deadline",

@@ -1,6 +1,6 @@
 //! Service-level properties: single-flight dedup, admission control,
-//! deadline budgets, LRU behaviour and byte-identity of cached vs
-//! recomputed responses. Uses a toy deterministic executor so the
+//! deadline budgets, result-store retention and byte-identity of stored
+//! vs recomputed responses. Uses a toy deterministic executor so the
 //! properties are tested independently of the paper catalog (which has
 //! its own suite in `pvc-report`).
 //!
@@ -211,22 +211,23 @@ fn overlapping_sweeps_coalesce_into_one_pass_per_atom() {
     assert_eq!(squares(&responses[1]), vec![4, 9, 16]);
 }
 
+/// A service without `--store` keeps every computed answer in its
+/// in-memory store: nothing is evicted, so nothing is computed twice.
 #[test]
-fn lru_eviction_order_and_counter() {
+fn computed_answers_are_kept_without_eviction() {
     pin_threads();
-    let s = service(ServeConfig { cache_capacity: 2, ..ServeConfig::default() });
-    let (one, two, three) = (item(1), item(2), item(3));
-    s.handle_lines(&[&one]);
-    s.handle_lines(&[&two]);
-    s.handle_lines(&[&one]); // touch 1 → 2 becomes LRU victim
-    s.handle_lines(&[&three]); // evicts 2
-    assert_eq!(s.metrics().counter("serve.cache.evict"), 1);
-    assert_eq!(s.cache_len(), 2);
-    let before = s.executor().executions.load(Ordering::SeqCst);
-    s.handle_lines(&[&one, &three]); // both still cached
-    assert_eq!(s.executor().executions.load(Ordering::SeqCst), before);
-    s.handle_lines(&[&two]); // 2 was evicted → recomputed
-    assert_eq!(s.executor().executions.load(Ordering::SeqCst), before + 1);
+    let s = service(ServeConfig::default());
+    let lines: Vec<String> = (0..100).map(item).collect();
+    for line in &lines {
+        s.handle_lines(&[line]);
+    }
+    assert_eq!(s.store_len(), 100);
+    assert_eq!(s.metrics().counter("serve.store.write"), 100);
+    let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
+    s.handle_lines(&refs[..30]);
+    s.handle_lines(&refs[70..]);
+    assert_eq!(s.executor().executions.load(Ordering::SeqCst), 100, "every repeat is a hit");
+    assert_eq!(s.metrics().counter("serve.cache.hit"), 60);
 }
 
 #[test]
@@ -249,8 +250,8 @@ fn failures_are_enveloped_not_panicked() {
     assert_eq!(kind(&responses[1]).as_deref(), Some("bad_request"));
     assert_eq!(kind(&responses[2]).as_deref(), Some("bad_request"));
     assert!(responses[3].get("result").is_some(), "healthy request unaffected");
-    // Failed computations are never cached.
-    assert_eq!(s.cache_len(), 1);
+    // Failed computations are never stored.
+    assert_eq!(s.store_len(), 1);
 }
 
 /// Unplannable requests are rejected before anything is keyed on their
@@ -321,19 +322,22 @@ fn shutdown_kind_latches_and_answers_ok() {
 fn handle_line_answers_objects_singly_and_arrays_as_one_batch() {
     pin_threads();
     let s = service(ServeConfig::default());
-    // An object line is one envelope, byte-equal to the batch API's.
+    // An object line is one compact envelope, byte-equal to the batch
+    // API's.
     let one = s.handle_line(&format!("  {}\n", item(4)));
-    assert_eq!(one.canonical(), s.handle_lines(&[&item(4)])[0].canonical());
+    assert_eq!(one, s.handle_lines(&[&item(4)])[0].compact());
     // An array line is one batch (duplicates single-flight) answered
     // with one array in input order.
     let batch = s.handle_line(&format!("[{},{},{}]", item(5), item(5), item(6)));
-    let items = batch.as_array().expect("array answer");
+    let parsed = pvc_core::json::parse(&batch).expect("one JSON line");
+    assert_eq!(batch, parsed.compact());
+    let items = parsed.as_array().expect("array answer");
     assert_eq!(items.len(), 3);
     assert_eq!(items[0].canonical(), items[1].canonical());
     assert_eq!(s.metrics().counter("serve.singleflight.deduped"), 1);
     // A malformed array is a one-element array of the bad_request
     // envelope; a malformed object or a bare scalar is a lone envelope.
-    let bad = |line: &str| s.handle_line(line).compact();
+    let bad = |line: &str| s.handle_line(line);
     assert!(bad("[{\"kind\":").starts_with(r#"[{"error":{"kind":"bad_request""#));
     for line in ["{\"kind\":", "7"] {
         assert!(bad(line).starts_with(r#"{"error":{"kind":"bad_request""#), "{line}");

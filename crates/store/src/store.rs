@@ -4,7 +4,7 @@ use crate::segment::{
     decode_frame, decode_header, encode_frame, encode_header, FrameError, HEADER_LEN,
 };
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
+use std::fs::{File, OpenOptions, TryLockError};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
@@ -49,6 +49,35 @@ impl OpenReport {
     }
 }
 
+/// Why [`Store::open`] could not open a segment file.
+#[derive(Debug)]
+pub enum OpenError {
+    /// Another open [`Store`] (in this process or another) holds the
+    /// file's exclusive lock. The file is left untouched.
+    Locked(PathBuf),
+    /// Opening, locking, reading or repairing the file failed.
+    Io(std::io::Error),
+}
+
+impl std::fmt::Display for OpenError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            OpenError::Locked(path) => {
+                write!(f, "{} is locked by another open store", path.display())
+            }
+            OpenError::Io(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for OpenError {}
+
+impl From<std::io::Error> for OpenError {
+    fn from(e: std::io::Error) -> Self {
+        OpenError::Io(e)
+    }
+}
+
 /// One indexed record: text and value live in the arena.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
@@ -59,17 +88,20 @@ struct Entry {
     value_len: usize,
 }
 
-/// A persistent content-addressed result store over one segment file.
+/// A content-addressed result store, backed by one segment file or by
+/// memory alone ([`Store::in_memory`]).
 ///
-/// All reads are served from the in-memory index built at open; all
-/// writes append one checksummed frame and update the index. The store
-/// never overwrites: a key/text pair, once written, is immutable (a
-/// second [`Store::put`] with the same pair is a no-op, which is what
-/// makes double-run warm passes produce byte-identical files).
+/// All reads are served from the in-memory index; a file-backed store
+/// builds it at open, and each write appends one checksummed frame
+/// before updating it. The store never overwrites: a key/text pair,
+/// once written, is immutable (a second [`Store::put`] with the same
+/// pair is a no-op, which is what makes double-run warm passes produce
+/// byte-identical files). A file-backed store holds the file's
+/// exclusive lock until it is dropped, so one file has one writer.
 #[derive(Debug)]
 pub struct Store {
-    path: PathBuf,
-    file: File,
+    /// The locked segment file; `None` for an in-memory store.
+    file: Option<File>,
     fingerprint: u64,
     /// Text and value payload bytes of every live record.
     arena: Vec<u8>,
@@ -81,8 +113,23 @@ pub struct Store {
 }
 
 impl Store {
-    /// Opens (or creates) the store at `path` for build `fingerprint`.
+    /// An empty store with no file behind it: it keeps every record
+    /// for its own lifetime and persists nothing.
+    pub fn in_memory() -> Store {
+        Store {
+            file: None,
+            fingerprint: 0,
+            arena: Vec::new(),
+            entries: Vec::new(),
+            index: HashMap::new(),
+            value_bytes: 0,
+        }
+    }
+
+    /// Opens (or creates) the store at `path` for build `fingerprint`,
+    /// taking the file's exclusive lock first.
     ///
+    /// * Locked by another open store → [`OpenError::Locked`].
     /// * Missing or empty file → fresh store ([`OpenStatus::Created`]).
     /// * Valid header, same fingerprint → records stream in; a corrupt
     ///   or torn tail is truncated off and reported
@@ -90,27 +137,27 @@ impl Store {
     /// * Anything else — foreign bytes, old format, different
     ///   fingerprint — resets the file to an empty store for the new
     ///   fingerprint ([`OpenStatus::Invalidated`]).
-    pub fn open(path: impl AsRef<Path>, fingerprint: u64) -> std::io::Result<(Store, OpenReport)> {
-        let path = path.as_ref().to_path_buf();
+    pub fn open(path: impl AsRef<Path>, fingerprint: u64) -> Result<(Store, OpenReport), OpenError> {
+        let path = path.as_ref();
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
-            .open(&path)?;
+            .open(path)?;
+        match file.try_lock() {
+            Ok(()) => {}
+            Err(TryLockError::WouldBlock) => return Err(OpenError::Locked(path.to_path_buf())),
+            Err(TryLockError::Error(e)) => return Err(OpenError::Io(e)),
+        }
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
 
         let mut store = Store {
-            path,
-            file,
+            file: Some(file),
             fingerprint,
-            arena: Vec::new(),
-            entries: Vec::new(),
-            index: HashMap::new(),
-            value_bytes: 0,
+            ..Store::in_memory()
         };
-
         if bytes.is_empty() {
             store.reset_file()?;
             let report = OpenReport {
@@ -126,10 +173,11 @@ impl Store {
             Some(found) if found == fingerprint => {
                 let (valid_len, tail_error) = store.load_records(&bytes);
                 let dropped = bytes.len() as u64 - valid_len as u64;
+                let file = store.file.as_mut().expect("opened with a file");
                 if dropped > 0 {
-                    store.file.set_len(valid_len as u64)?;
+                    file.set_len(valid_len as u64)?;
                 }
-                store.file.seek(SeekFrom::End(0))?;
+                file.seek(SeekFrom::End(0))?;
                 let report = OpenReport {
                     status: OpenStatus::Loaded,
                     records: store.entries.len(),
@@ -153,10 +201,11 @@ impl Store {
 
     /// Truncates the file and writes a fresh header.
     fn reset_file(&mut self) -> std::io::Result<()> {
-        self.file.set_len(0)?;
-        self.file.seek(SeekFrom::Start(0))?;
-        self.file.write_all(&encode_header(self.fingerprint))?;
-        self.file.flush()?;
+        let file = self.file.as_mut().expect("opened with a file");
+        file.set_len(0)?;
+        file.seek(SeekFrom::Start(0))?;
+        file.write_all(&encode_header(self.fingerprint))?;
+        file.flush()?;
         self.arena.clear();
         self.entries.clear();
         self.index.clear();
@@ -229,18 +278,20 @@ impl Store {
         self.lookup(key, text).is_some()
     }
 
-    /// Persists `(key, text) → value` if absent: appends one frame to
-    /// the segment (a single write syscall, so a crash tears at most
-    /// the tail) and indexes it. Returns `true` when a record was
-    /// written, `false` when the pair was already stored (the existing
-    /// record is kept — values are immutable once written).
+    /// Stores `(key, text) → value` if absent: a file-backed store
+    /// first appends one frame to the segment (a single write syscall,
+    /// so a crash tears at most the tail), then indexes it. Returns
+    /// `true` when a record was written, `false` when the pair was
+    /// already stored (the existing record is kept — values are
+    /// immutable once written).
     pub fn put(&mut self, key: u64, text: &str, value: &[u8]) -> std::io::Result<bool> {
         if self.contains(key, text) {
             return Ok(false);
         }
-        let frame = encode_frame(key, text, value);
-        self.file.write_all(&frame)?;
-        self.file.flush()?;
+        if let Some(file) = &mut self.file {
+            file.write_all(&encode_frame(key, text, value))?;
+            file.flush()?;
+        }
         self.insert_entry(key, text, value);
         Ok(true)
     }
@@ -263,11 +314,6 @@ impl Store {
     /// The build fingerprint this store is bound to.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// The segment file path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -463,5 +509,33 @@ mod tests {
         let (s, r) = Store::open(&path, FP).unwrap();
         assert_eq!(r.records, 2);
         assert_eq!(s.get(7, "text B"), Some(&b"B"[..]));
+    }
+
+    #[test]
+    fn one_open_store_per_file() {
+        let path = scratch("lock");
+        let _c = Cleanup(path.clone());
+        let first = filled(&path);
+        let before = std::fs::read(&path).unwrap();
+        match Store::open(&path, FP) {
+            Err(OpenError::Locked(p)) => assert_eq!(p, path),
+            other => panic!("second open must be Locked, got {other:?}"),
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), before, "a refused open writes nothing");
+        drop(first);
+        let (s, r) = Store::open(&path, FP).unwrap();
+        assert_eq!(r.status, OpenStatus::Loaded);
+        assert_eq!(s.len(), 3);
+    }
+
+    #[test]
+    fn in_memory_store_keeps_records_without_a_file() {
+        let mut s = Store::in_memory();
+        assert!(s.is_empty());
+        assert!(s.put(1, "req-one", b"value-one").unwrap());
+        assert!(!s.put(1, "req-one", b"DIFFERENT").unwrap(), "immutable once written");
+        assert_eq!(s.get(1, "req-one"), Some(&b"value-one"[..]));
+        assert_eq!(s.get(1, "other"), None, "collision guard");
+        assert_eq!(s.len(), 1);
     }
 }
