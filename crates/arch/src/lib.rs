@@ -22,7 +22,6 @@
 pub mod chaos;
 pub mod cpu;
 pub mod device;
-pub mod frontier;
 pub mod governor;
 pub mod node;
 pub mod power;

@@ -127,34 +127,11 @@ fn ablation_planes(c: &mut Criterion) {
     g.finish();
 }
 
-/// Prefetcher ablation (why lats randomises its ring, §IV-A7):
-/// sequential vs random chase with the stream prefetcher on.
-fn ablation_prefetch(c: &mut Criterion) {
-    use pvc_memsim::prefetch::chase_with_prefetcher;
-    let gpu = System::Aurora.node().gpu;
-    let mut g = c.benchmark_group("ablation_prefetch");
-    g.sample_size(10);
-    for (name, sequential) in [("sequential_ring", true), ("random_ring", false)] {
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                black_box(chase_with_prefetcher(
-                    &gpu.partition,
-                    2 << 20,
-                    sequential,
-                    true,
-                ))
-            })
-        });
-    }
-    g.finish();
-}
-
 criterion_group!(
     ablations,
     ablation_governor,
     ablation_pcie,
     ablation_congestion,
-    ablation_planes,
-    ablation_prefetch
+    ablation_planes
 );
 criterion_main!(ablations);

@@ -62,13 +62,6 @@ pub fn fft_rate(system: System, dim: FftDim, active: u32) -> f64 {
     peak * frac * scale.at(active)
 }
 
-/// Simulated wall time of a batched C2C transform totalling `n` points
-/// (1D) or an `n`-point 2D grid.
-pub fn fft_time(system: System, dim: FftDim, total_points: f64, active: u32) -> f64 {
-    let flops = 5.0 * total_points * total_points.log2();
-    flops / fft_rate(system, dim, active)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,13 +91,5 @@ mod tests {
         // FFT is compute-tracking: Aurora/Dawn ≈ 0.875 × (clock-noise).
         let r = fft_rate(System::Aurora, FftDim::OneD, 1) / fft_rate(System::Dawn, FftDim::OneD, 1);
         assert!((r - 0.86).abs() < 0.03, "ratio {r:.3}");
-    }
-
-    #[test]
-    fn fft_time_scales_n_log_n() {
-        let t1 = fft_time(System::Dawn, FftDim::OneD, 4096.0, 1);
-        let t2 = fft_time(System::Dawn, FftDim::OneD, 8192.0, 1);
-        let expect = (8192.0 * 13.0) / (4096.0 * 12.0);
-        assert!((t2 / t1 - expect).abs() < 1e-9);
     }
 }

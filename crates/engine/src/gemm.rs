@@ -100,12 +100,6 @@ pub fn gemm_rate(system: System, p: Precision, active: u32) -> f64 {
     theoretical_unit_peak(system, p) * c.efficiency * c.scale.at(active)
 }
 
-/// Simulated wall time of an N×N×N GEMM on one partition.
-pub fn gemm_time(system: System, p: Precision, n: usize, active: u32) -> f64 {
-    let flops = 2.0 * (n as f64).powi(3);
-    flops / gemm_rate_for_n(system, p, n, active)
-}
-
 /// Saturation fraction of the asymptotic GEMM rate at matrix dimension
 /// `n`: small problems cannot fill the device (launch overhead, tile
 /// quantisation, too few work-groups). Modelled as
@@ -122,12 +116,6 @@ pub fn saturation_fraction(system: System, p: Precision, n: usize) -> f64 {
     let n_half = 1500.0 * (peak / 17e12).cbrt();
     let n3 = (n as f64).powi(3);
     n3 / (n3 + n_half.powi(3))
-}
-
-/// Achieved GEMM rate at dimension `n` (the asymptotic rate scaled by
-/// the saturation fraction).
-pub fn gemm_rate_for_n(system: System, p: Precision, n: usize, active: u32) -> f64 {
-    gemm_rate(system, p, active) * saturation_fraction(system, p, n)
 }
 
 #[cfg(test)]
@@ -208,11 +196,15 @@ mod tests {
     fn gemm_time_grows_superlinearly_below_saturation() {
         // Below saturation the rate also rises with n, so time grows
         // slower than 8x per doubling; at large n it approaches 8x.
-        let t1 = gemm_time(System::Aurora, Precision::Fp64, 1024, 1);
-        let t2 = gemm_time(System::Aurora, Precision::Fp64, 2048, 1);
+        // Time is 2n³ over the asymptotic rate scaled by the saturation
+        // fraction.
+        let (sys, p) = (System::Aurora, Precision::Fp64);
+        let time = |n: usize| {
+            2.0 * (n as f64).powi(3) / (gemm_rate(sys, p, 1) * saturation_fraction(sys, p, n))
+        };
+        let (t1, t2) = (time(1024), time(2048));
         assert!(t2 / t1 < 8.0);
-        let t3 = gemm_time(System::Aurora, Precision::Fp64, 16384, 1);
-        let t4 = gemm_time(System::Aurora, Precision::Fp64, 32768, 1);
+        let (t3, t4) = (time(16384), time(32768));
         assert!((t4 / t3 - 8.0).abs() < 0.1);
     }
 

@@ -19,7 +19,6 @@
 pub mod exec;
 pub mod fft_model;
 pub mod gemm;
-pub mod occupancy;
 pub mod workload;
 
 pub use exec::Engine;

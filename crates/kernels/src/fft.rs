@@ -215,56 +215,6 @@ pub fn fft_2d<T: Scalar>(data: &mut [Complex<T>], rows: usize, cols: usize, dir:
     data.copy_from_slice(&back);
 }
 
-/// 3D FFT over a row-major `n × n × n` cube: three axis passes, each a
-/// parallel batch of 1D transforms. Used by the particle-mesh
-/// gravity solver in `pvc-apps`.
-pub fn fft_3d<T: Scalar>(data: &mut [Complex<T>], n: usize, dir: Direction) {
-    assert_eq!(data.len(), n * n * n, "cube must be n^3");
-    // Axis z (contiguous): independent rows of length n.
-    par::for_each_chunk_mut(data, n, |_, row| fft(row, dir));
-    // Axis y: gather strided lines, transform, scatter.
-    axis_pass(data, n, |x, y, z| (x * n + y) * n + z, true, dir);
-    // Axis x.
-    axis_pass(data, n, |x, y, z| (x * n + y) * n + z, false, dir);
-}
-
-/// Strided-axis transform helper: `y_axis` selects whether the middle
-/// (y) or outer (x) axis is transformed.
-fn axis_pass<T: Scalar>(
-    data: &mut [Complex<T>],
-    n: usize,
-    index: impl Fn(usize, usize, usize) -> usize + Sync,
-    y_axis: bool,
-    dir: Direction,
-) {
-    // Collect each line, transform, write back. Lines are independent;
-    // parallelise over the (outer, inner) plane by materialising the
-    // whole pass (memory-for-simplicity trade, fine at solver sizes).
-    let mut lines: Vec<Vec<Complex<T>>> = Vec::with_capacity(n * n);
-    for a in 0..n {
-        for b in 0..n {
-            let line: Vec<Complex<T>> = (0..n)
-                .map(|k| {
-                    let idx = if y_axis { index(a, k, b) } else { index(k, a, b) };
-                    data[idx]
-                })
-                .collect();
-            lines.push(line);
-        }
-    }
-    par::for_each_mut(&mut lines, |_, line| fft(line, dir));
-    let mut it = lines.into_iter();
-    for a in 0..n {
-        for b in 0..n {
-            let line = it.next().unwrap();
-            for (k, v) in line.into_iter().enumerate() {
-                let idx = if y_axis { index(a, k, b) } else { index(k, a, b) };
-                data[idx] = v;
-            }
-        }
-    }
-}
-
 fn transpose<T: Scalar>(data: &[Complex<T>], rows: usize, cols: usize) -> Vec<Complex<T>> {
     let mut out = vec![Complex::zero(); rows * cols];
     for r in 0..rows {
@@ -398,56 +348,42 @@ mod tests {
         }
     }
 
+    /// Max round-trip error of `x` through a transform pair, after the
+    /// backward pass's 1/n normalisation.
+    fn roundtrip_error(x: &[Complex<f64>], y: &[Complex<f64>]) -> f64 {
+        let n = x.len() as f64;
+        x.iter()
+            .zip(y)
+            .map(|(a, b)| (a.re - b.re / n).abs().max((a.im - b.im / n).abs()))
+            .fold(0.0, f64::max)
+    }
+
+    /// The paper's 1D sizes (§IV-A6), 20 000 on the Bluestein path.
     #[test]
-    fn fft_3d_roundtrip() {
-        let n = 8;
-        let x = signal(n * n * n, 21);
+    fn paper_1d_sizes_roundtrip_below_1e_7() {
+        for n in [4096usize, 20_000] {
+            let x: Vec<Complex<f64>> = (0..n)
+                .map(|i| Complex::new((i as f64 * 0.37).sin(), (i as f64 * 0.11).cos()))
+                .collect();
+            let mut y = x.clone();
+            fft(&mut y, Direction::Forward);
+            fft(&mut y, Direction::Backward);
+            let err = roundtrip_error(&x, &y);
+            assert!(err < 1e-7, "{n}-point 1D error {err}");
+        }
+    }
+
+    #[test]
+    fn fft_2d_roundtrip_100_square_below_1e_7() {
+        let edge = 100;
+        let x: Vec<Complex<f64>> = (0..edge * edge)
+            .map(|i| Complex::new((i as f64 * 0.13).cos(), 0.0))
+            .collect();
         let mut y = x.clone();
-        fft_3d(&mut y, n, Direction::Forward);
-        fft_3d(&mut y, n, Direction::Backward);
-        let scale = 1.0 / (n * n * n) as f64;
-        for (a, b) in x.iter().zip(y.iter()) {
-            assert!((a.re - b.re * scale).abs() < 1e-9);
-            assert!((a.im - b.im * scale).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn fft_3d_of_constant_is_delta() {
-        let n = 4;
-        let mut x = vec![Complex::new(1.0f64, 0.0); n * n * n];
-        fft_3d(&mut x, n, Direction::Forward);
-        assert!((x[0].re - (n * n * n) as f64).abs() < 1e-9);
-        for z in &x[1..] {
-            assert!(z.re.abs() < 1e-9 && z.im.abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn fft_3d_plane_wave_is_single_mode() {
-        // exp(2πi·kx·x/n) transforms to a delta at (kx, 0, 0).
-        let n = 8;
-        let kx = 3;
-        let mut x = vec![Complex::zero(); n * n * n];
-        for i in 0..n {
-            for j in 0..n {
-                for k in 0..n {
-                    let phase = 2.0 * std::f64::consts::PI * (kx * i) as f64 / n as f64;
-                    x[(i * n + j) * n + k] = Complex::cis(phase);
-                }
-            }
-        }
-        fft_3d(&mut x, n, Direction::Forward);
-        let peak = x[(kx * n) * n].re;
-        assert!((peak - (n * n * n) as f64).abs() < 1e-6, "peak {peak}");
-        // Everything else is ~0.
-        let energy_rest: f64 = x
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != (kx * n) * n)
-            .map(|(_, z)| z.norm_sqr())
-            .sum();
-        assert!(energy_rest < 1e-12);
+        fft_2d(&mut y, edge, edge, Direction::Forward);
+        fft_2d(&mut y, edge, edge, Direction::Backward);
+        let err = roundtrip_error(&x, &y);
+        assert!(err < 1e-7, "2D error {err}");
     }
 
     #[test]

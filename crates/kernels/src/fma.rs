@@ -82,6 +82,14 @@ mod tests {
         assert!((d - s).abs() < 1e-3);
     }
 
+    /// The paper kernel at 4096 work items (a scaled-down launch): every
+    /// lane of the single-precision chain reaches the fixed point 2.
+    #[test]
+    fn paper_kernel_reaches_fixed_point_at_4096_work_items() {
+        let err = (paper_kernel::<f32>(4096).checksum - 2.0 * 4096.0).abs();
+        assert!(err < 1e-2, "checksum off by {err}");
+    }
+
     #[test]
     fn paper_kernel_op_count() {
         let r = paper_kernel::<f32>(1);

@@ -195,6 +195,8 @@ impl Hierarchy {
 mod tests {
     use super::*;
     use pvc_arch::systems::pvc_aurora_gpu;
+    use pvc_core::check::check;
+    use pvc_core::ensure;
 
     #[test]
     fn repeated_access_hits() {
@@ -283,5 +285,114 @@ mod tests {
             let lat = h.access(a);
             assert_eq!(lat, 390.0, "expected L2 service at addr {a}");
         }
+    }
+
+    /// A minimal true-LRU reference, written independently of
+    /// [`CacheSim`]: per set, its tags from MRU to LRU, at most `ways`
+    /// of them. The set count rounds down to a power of two, as
+    /// documented on [`CacheSim::new`].
+    struct ReferenceLru {
+        line_bytes: u64,
+        sets: u64,
+        ways: usize,
+        stacks: Vec<Vec<u64>>,
+    }
+
+    impl ReferenceLru {
+        fn new(size_bytes: u64, line_bytes: u32, ways: u32) -> Self {
+            let raw_sets = size_bytes / (line_bytes as u64 * ways as u64);
+            let sets = 1u64 << (63 - raw_sets.leading_zeros());
+            ReferenceLru {
+                line_bytes: line_bytes as u64,
+                sets,
+                ways: ways as usize,
+                stacks: vec![Vec::new(); sets as usize],
+            }
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            let line = addr / self.line_bytes;
+            let stack = &mut self.stacks[(line % self.sets) as usize];
+            let tag = line / self.sets;
+            let hit = match stack.iter().position(|&t| t == tag) {
+                Some(pos) => {
+                    stack.remove(pos);
+                    true
+                }
+                None => {
+                    stack.truncate(self.ways - 1);
+                    false
+                }
+            };
+            stack.insert(0, tag);
+            hit
+        }
+    }
+
+    /// True when [`CacheSim`] and the reference agree on every access.
+    fn lru_matches_reference(size: u64, line: u32, assoc: u32, addrs: &[u64]) -> bool {
+        let mut a = ReferenceLru::new(size, line, assoc);
+        let mut b = CacheSim::new(size, line, assoc);
+        addrs.iter().all(|&x| a.access(x) == b.access(x))
+    }
+
+    #[test]
+    fn lru_policy_cache_equals_production_lru() {
+        let addrs: Vec<u64> = (0..4000u64).map(|i| (i * 7919) % 16384).collect();
+        assert!(lru_matches_reference(4096, 64, 4, &addrs));
+    }
+
+    /// LRU equivalence over random geometries (1 to 16 ways, 1 to 64 sets,
+    /// 64/128 B lines, sizes that round down to the set count) on
+    /// stack-distance streams: each access re-touches the line at a
+    /// random LRU depth of its set, or a fresh line. Under true LRU a
+    /// depth-`d` reuse hits way position `d`, so every stream must hit
+    /// every position, and each set fills its empty ways first.
+    #[test]
+    fn lru_policy_cache_equals_production_lru_over_geometries() {
+        check("cache::lru_equivalence_over_geometries", 48, |g| {
+            let assoc = g.usize_in(1..17);
+            let sets = *g.choose(&[1u64, 2, 8, 64]);
+            let line = *g.choose(&[64u64, 128]);
+            let set_bytes = sets * assoc as u64 * line;
+            let size = set_bytes + g.u64_in(0..set_bytes);
+            let active = g.subset(sets as usize, 1..5);
+            // Per active set, its lines from MRU to LRU.
+            let mut stacks = vec![Vec::<u64>::new(); active.len()];
+            let mut fresh = 0u64;
+            let mut hit_at = vec![false; assoc];
+            let mut addrs = Vec::new();
+            for _ in 0..64 * assoc {
+                let s = g.usize_in(0..active.len());
+                let stack = &mut stacks[s];
+                let depth = g.usize_in(0..assoc + 3);
+                let tag = if depth < stack.len() {
+                    if depth < assoc {
+                        hit_at[depth] = true;
+                    }
+                    stack.remove(depth)
+                } else {
+                    fresh += 1;
+                    fresh
+                };
+                stack.insert(0, tag);
+                let line_no = tag * sets + active[s] as u64;
+                addrs.push(line_no * line + g.u64_in(0..line));
+            }
+            ensure!(hit_at.iter().all(|&h| h), "a way position was never hit");
+            let (line, assoc) = (line as u32, assoc as u32);
+            ensure!(lru_matches_reference(size, line, assoc, &addrs));
+            Ok(())
+        });
+    }
+
+    /// LRU equivalence on random traces.
+    #[test]
+    fn prop_lru_equivalence() {
+        check("cache::prop_lru_equivalence", 32, |g| {
+            let addrs = g.vec_u64(1..500, 0..32768);
+            ensure!(lru_matches_reference(2048, 64, 4, &addrs));
+            Ok(())
+        });
     }
 }

@@ -16,8 +16,6 @@
 
 pub mod cache;
 pub mod lats;
-pub mod policy;
-pub mod prefetch;
 pub mod roofline;
 
 pub use cache::{CacheSim, Hierarchy};

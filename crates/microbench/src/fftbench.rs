@@ -1,19 +1,13 @@
 //! FFT microbenchmark (§IV-A6, Table II rows 13–14).
 //!
-//! Real forward/backward transforms at the paper's sizes (4096 and
-//! 20 000 for 1D — the latter exercising the Bluestein path — and a
-//! scaled 2D grid) verify the algorithm; the library model produces the
-//! Table II rates.
+//! The library model produces the Table II rates. The transforms it
+//! models (the paper's 1D sizes 4096 and 20 000 — the latter on the
+//! Bluestein path — and 2D grids) are `pvc_kernels::fft`, whose tests
+//! check their round-trips.
 
 use crate::ScaleTriplet;
 use pvc_arch::System;
-use pvc_engine::fft_model::{fft_rate, fft_time, FftDim};
-use pvc_kernels::fft::{fft, fft_2d, Complex, Direction};
-
-/// Paper 1D sizes.
-pub const SIZES_1D: [usize; 2] = [4096, 20_000];
-/// Paper 2D edge.
-pub const SIZE_2D: usize = 10_000;
+use pvc_engine::fft_model::{fft_rate, FftDim};
 
 /// Result of the FFT benchmark for one system and dimensionality.
 #[derive(Debug, Clone, Copy)]
@@ -23,83 +17,18 @@ pub struct FftResult {
     /// Aggregate flop/s (5·N·log2 N convention) at the three scaling
     /// levels.
     pub rates: ScaleTriplet,
-    /// Simulated time of one paper-size transform on one stack, seconds.
-    pub paper_transform_time: f64,
-    /// Max round-trip error of the host verification transform.
-    pub verification_error: f64,
 }
 
-fn verify_roundtrip_1d(n: usize) -> f64 {
-    let x: Vec<Complex<f64>> = (0..n)
-        .map(|i| Complex::new((i as f64 * 0.37).sin(), (i as f64 * 0.11).cos()))
-        .collect();
-    let mut y = x.clone();
-    fft(&mut y, Direction::Forward);
-    fft(&mut y, Direction::Backward);
-    x.iter()
-        .zip(y.iter())
-        .map(|(a, b)| {
-            let r = (a.re - b.re / n as f64).abs();
-            let i = (a.im - b.im / n as f64).abs();
-            r.max(i)
-        })
-        .fold(0.0, f64::max)
-}
-
-fn verify_roundtrip_2d(edge: usize) -> f64 {
-    let n = edge * edge;
-    let x: Vec<Complex<f64>> = (0..n)
-        .map(|i| Complex::new((i as f64 * 0.13).cos(), 0.0))
-        .collect();
-    let mut y = x.clone();
-    fft_2d(&mut y, edge, edge, Direction::Forward);
-    fft_2d(&mut y, edge, edge, Direction::Backward);
-    x.iter()
-        .zip(y.iter())
-        .map(|(a, b)| (a.re - b.re / n as f64).abs())
-        .fold(0.0, f64::max)
-}
-
-/// Runs the benchmark. The verification transform uses the real paper 1D
-/// sizes and a reduced 2D edge (the model rate is size-independent).
-/// The round-trips depend only on the dimensionality — fixed inputs,
-/// no system parameters — so each runs once per process and is reused
-/// for every Table II cell.
+/// Runs the benchmark.
 pub fn run(system: System, dim: FftDim) -> FftResult {
-    let verification_error = match dim {
-        FftDim::OneD => {
-            static ERR_1D: std::sync::OnceLock<f64> = std::sync::OnceLock::new();
-            *ERR_1D.get_or_init(|| {
-                SIZES_1D
-                    .iter()
-                    .map(|&n| verify_roundtrip_1d(n))
-                    .fold(0.0, f64::max)
-            })
-        }
-        FftDim::TwoD => {
-            static ERR_2D: std::sync::OnceLock<f64> = std::sync::OnceLock::new();
-            *ERR_2D.get_or_init(|| verify_roundtrip_2d(100))
-        }
-    };
     let rates = ScaleTriplet::from_rate(system, |active| fft_rate(system, dim, active));
-    let points = match dim {
-        FftDim::OneD => 20_000.0,
-        FftDim::TwoD => (SIZE_2D * SIZE_2D) as f64,
-    };
-    FftResult {
-        system,
-        dim,
-        rates,
-        paper_transform_time: fft_time(system, dim, points, 1),
-        verification_error,
-    }
+    FftResult { system, dim, rates }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pvc_arch::units::rel_err;
-    use pvc_kernels::fft::fft_flops_c2c;
 
     #[test]
     fn rates_match_table_ii_row_13() {
@@ -114,20 +43,5 @@ mod tests {
         let d = run(System::Dawn, FftDim::TwoD).rates;
         assert!(rel_err(d.one_stack / 1e12, 3.6) < 0.05);
         assert!(rel_err(d.full_node / 1e12, 25.0) < 0.05);
-    }
-
-    #[test]
-    fn verification_roundtrips_are_exact_to_tolerance() {
-        let r1 = run(System::Aurora, FftDim::OneD);
-        assert!(r1.verification_error < 1e-7, "1D error {}", r1.verification_error);
-        let r2 = run(System::Aurora, FftDim::TwoD);
-        assert!(r2.verification_error < 1e-7, "2D error {}", r2.verification_error);
-    }
-
-    #[test]
-    fn paper_transform_time_follows_flop_model() {
-        let r = run(System::Dawn, FftDim::OneD);
-        let flops = fft_flops_c2c(20_000);
-        assert!(rel_err(r.paper_transform_time, flops / r.rates.one_stack) < 1e-9);
     }
 }

@@ -1,9 +1,8 @@
 //! `lats` memory-latency microbenchmark (§IV-A7, Figure 1).
 //!
 //! Sweeps pointer-chase footprints across the simulated cache hierarchy
-//! of each GPU and reports the latency staircase. The host-side
-//! [`pvc_kernels::chase::ChaseRing`] provides the matching real access
-//! pattern (single dependent chain, Sattolo ring).
+//! of each GPU and reports the latency staircase. The chase walks a
+//! [`ChaseCycle`]: a single dependent chain over a Sattolo ring.
 
 use pvc_arch::{GpuModel, System};
 use pvc_memsim::lats::chase_slots;

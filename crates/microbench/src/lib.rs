@@ -14,20 +14,18 @@
 //! | [`fftbench`]  | oneMKL FFT 1D/2D (§IV-A6)           | Table II rows 13–14 |
 //! | [`latsbench`] | `lats` pointer chase (§IV-A7)       | Figure 1 |
 //!
-//! Each benchmark couples a *real* kernel execution (from `pvc-kernels`,
-//! at reduced scale, verifying the algorithm) with the performance-model
-//! evaluation that produces the published numbers.
+//! Each benchmark evaluates the performance model that produces the
+//! published numbers. The real kernels the models stand for (FMA chain,
+//! triad, GEMM, FFT) live in `pvc-kernels`, whose tests verify them.
 
 pub mod catalog;
 pub mod fftbench;
-pub mod host;
 pub mod gemmbench;
 pub mod latsbench;
 pub mod membw;
 pub mod p2p;
 pub mod pcie;
 pub mod peakflops;
-pub mod stats;
 
 /// A Table II row triplet: per-aggregate values at the three scaling
 /// levels ("One Stack", "One PVC", full node).

@@ -70,7 +70,9 @@ impl Request {
                 ))
             }
         }
-        let text = canon.canonical();
+        // `canon` is already sorted at every level, so its pretty
+        // rendering is the canonical text.
+        let text = canon.pretty();
         let key = fnv1a64(text.as_bytes());
         Ok(Request { canon, text, key, budget })
     }
@@ -136,6 +138,17 @@ mod tests {
         assert_eq!(c.budget(), Some(5));
         assert_eq!(a.budget(), None);
         assert_eq!(a.text(), c.text());
+        // Nested objects are sorted too, and the text is the canonical
+        // rendering of the normalised body.
+        let nested = Request::parse(
+            r#"{"zeta":{"b":[{"y":1,"x":2}],"a":{"d":3,"c":4}},"kind":"k","alpha":0}"#,
+        )
+        .unwrap();
+        assert_eq!(nested.text(), nested.canon().canonical());
+        assert_eq!(
+            nested.canon().compact(),
+            r#"{"alpha":0,"kind":"k","zeta":{"a":{"c":4,"d":3},"b":[{"x":2,"y":1}]}}"#
+        );
     }
 
     #[test]

@@ -284,13 +284,24 @@ impl Store {
     /// `true` when a record was written, `false` when the pair was
     /// already stored (the existing record is kept — values are
     /// immutable once written).
+    ///
+    /// A failed append (a transient ENOSPC, say) is undone before the
+    /// error returns: the file is cut back to the offset the frame
+    /// started at and the write position returns there, and nothing is
+    /// indexed. A partial frame would stop the scan at reopen and cost
+    /// every record appended after it; undone, the failure costs only
+    /// its own record, and a later put of the same pair may succeed.
     pub fn put(&mut self, key: u64, text: &str, value: &[u8]) -> std::io::Result<bool> {
         if self.contains(key, text) {
             return Ok(false);
         }
         if let Some(file) = &mut self.file {
-            file.write_all(&encode_frame(key, text, value))?;
-            file.flush()?;
+            let start = file.stream_position()?;
+            if let Err(e) = append(file, &encode_frame(key, text, value)) {
+                file.set_len(start)?;
+                file.seek(SeekFrom::Start(start))?;
+                return Err(e);
+            }
         }
         self.insert_entry(key, text, value);
         Ok(true)
@@ -315,6 +326,24 @@ impl Store {
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
+}
+
+/// Appends one frame at the file's write position.
+fn append(file: &mut File, frame: &[u8]) -> std::io::Result<()> {
+    #[cfg(test)]
+    if let Some(n) = CUT_NEXT_WRITE.take() {
+        file.write_all(&frame[..n.min(frame.len())])?;
+        return Err(std::io::Error::other("injected fault: frame cut short"));
+    }
+    file.write_all(frame)?;
+    file.flush()
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test fault hook: when set to `Some(n)`, the next frame append on
+    /// this thread writes only its first `n` bytes and then fails.
+    static CUT_NEXT_WRITE: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
 }
 
 #[cfg(test)]
@@ -482,6 +511,38 @@ mod tests {
         assert_eq!(r.records, 0);
         assert!(r.tail_corrupt());
         assert!(s.is_empty());
+    }
+
+    /// A put whose frame write fails partway leaves no partial frame:
+    /// the next put still lands, and on reopen every acknowledged record
+    /// loads with nothing dropped.
+    #[test]
+    fn failed_append_costs_no_later_record() {
+        let path = scratch("failed-append");
+        let _c = Cleanup(path.clone());
+        let mut s = filled(&path);
+        let before = std::fs::metadata(&path).unwrap().len();
+        CUT_NEXT_WRITE.set(Some(7));
+        assert!(s.put(4, "req-four", b"value-four").is_err());
+        let after = std::fs::metadata(&path).unwrap().len();
+        assert_eq!(after, before, "the partial frame is cut back out");
+        assert!(!s.contains(4, "req-four"), "a failed put indexes nothing");
+        assert!(s.put(5, "req-five", b"value-five").unwrap());
+        drop(s);
+
+        let (s, r) = Store::open(&path, FP).unwrap();
+        assert_eq!(r.status, OpenStatus::Loaded);
+        assert_eq!(r.dropped_bytes, 0);
+        assert_eq!(r.records, 4);
+        for (key, text, value) in [
+            (1, "req-one", &b"value-one"[..]),
+            (2, "req-two", b"value-two"),
+            (3, "req-three", b"value-three"),
+            (5, "req-five", b"value-five"),
+        ] {
+            assert_eq!(s.get(key, text), Some(value), "{text}");
+        }
+        assert_eq!(s.get(4, "req-four"), None);
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! cargo run --release --example device_query
 //! ```
 
-use pvc_repro::arch::frontier::mi250x_gpu;
 use pvc_repro::arch::power;
 use pvc_repro::prelude::*;
 
@@ -68,8 +67,6 @@ fn main() {
     for sys in System::ALL {
         dump(&sys.node().gpu);
     }
-    println!("== Extension device ==\n");
-    dump(&mi250x_gpu());
 
     println!("== Node power & efficiency (extension) ==");
     println!(

@@ -28,7 +28,7 @@
 //! | [`simrt`] | pvc-simrt | discrete-event runtime, max–min flows |
 //! | [`memsim`] | pvc-memsim | cache simulation, `lats` (Figure 1) |
 //! | [`fabric`] | pvc-fabric | PCIe/MDFI/Xe-Link graph, MPI-like Comm |
-//! | [`kernels`] | pvc-kernels | real FMA/triad/GEMM/FFT/chase kernels |
+//! | [`kernels`] | pvc-kernels | real FMA/triad/GEMM/FFT kernels |
 //! | [`engine`] | pvc-engine | kernel-to-time performance engine |
 //! | [`microbench`] | pvc-microbench | the seven benchmarks (Tables I–III) |
 //! | [`miniapps`] | pvc-miniapps | miniBUDE, CloverLeaf, miniQMC, mini-GAMESS |
