@@ -27,9 +27,10 @@ run cargo test --offline --workspace -q
 # 3. Lints are errors.
 run cargo clippy --offline --workspace --all-targets -- -D warnings
 
-# 4. Golden conformance: every published value reproduced in tolerance
-#    (exits nonzero on any failing expectation), then the experiment
-#    record gate (every compared cell < 8%).
+# 4. Golden conformance: every printed cell of Tables II, III and VI
+#    and the four non-table facts reproduced within their bounds
+#    (exits nonzero on any failing check), then the same verdict as
+#    the one-line `validate` gate.
 run "$reproduce" conformance > /dev/null
 run "$reproduce" validate
 

@@ -13,7 +13,8 @@
 //!   frontend below dispatches (workload, system) through it;
 //! * [`profile`] — `reproduce profile <workload>`: deterministic
 //!   virtual-time Chrome-trace profiles of the simulated workloads;
-//! * [`conformance`] — the `pvc-validate` golden-expectation run
+//! * [`conformance`] — one check per printed table cell, and the one
+//!   function setting its bound, run through `pvc-validate` and
 //!   rendered as a report section (and the CLI gate's verdict);
 //! * [`serve`] — the `pvc-serve` catalog executor and request schema
 //!   behind `reproduce serve` / `reproduce query`;

@@ -1,37 +1,38 @@
 //! The paper's printed values, verbatim — the baseline every simulated
 //! cell is compared against in EXPERIMENTS.md.
 
-/// A Table II row as printed: label, SI scale of the printed unit, and
-/// the six columns (Aurora one-stack/one-PVC/six-PVC, Dawn
-/// one-stack/one-PVC/four-PVC).
+/// A Table II row as printed: label, the six columns (Aurora
+/// one-stack/one-PVC/six-PVC, Dawn one-stack/one-PVC/four-PVC), their
+/// unit and its SI scale.
 #[derive(Debug, Clone, Copy)]
 pub struct TableIiRow {
     pub label: &'static str,
-    /// Multiplier turning a printed number into SI (1e12 for TFlop/s,
-    /// 1e9 for GB/s, 1e15 for PFlop/s — applied per cell below).
     pub aurora: [f64; 3],
     pub dawn: [f64; 3],
-    /// SI scale per cell (the I8/HGEMM node columns switch to PFlop/s).
+    /// Multiplier turning a value of the row into SI (1e12 for
+    /// TFlop/s and TB/s, 1e9 for GB/s).
     pub scale: f64,
+    /// The unit the row's values are in.
+    pub unit: &'static str,
 }
 
 /// Table II exactly as printed (values in the table's units; `scale`
 /// converts to SI).
 pub const TABLE_II: [TableIiRow; 14] = [
-    TableIiRow { label: "Double Precision Peak Flops", aurora: [17.0, 33.0, 195.0], dawn: [20.0, 37.0, 140.0], scale: 1e12 },
-    TableIiRow { label: "Single Precision Peak Flops", aurora: [23.0, 45.0, 268.0], dawn: [26.0, 52.0, 207.0], scale: 1e12 },
-    TableIiRow { label: "Memory Bandwidth (triad)", aurora: [1.0, 2.0, 12.0], dawn: [1.0, 2.0, 8.0], scale: 1e12 },
-    TableIiRow { label: "PCIe Unidirectional Bandwidth (H2D)", aurora: [54.0, 55.0, 329.0], dawn: [53.0, 54.0, 218.0], scale: 1e9 },
-    TableIiRow { label: "PCIe Unidirectional Bandwidth (D2H)", aurora: [53.0, 56.0, 264.0], dawn: [51.0, 53.0, 212.0], scale: 1e9 },
-    TableIiRow { label: "PCIe Bidirectional Bandwidth", aurora: [76.0, 77.0, 350.0], dawn: [72.0, 72.0, 285.0], scale: 1e9 },
-    TableIiRow { label: "DGEMM", aurora: [13.0, 26.0, 151.0], dawn: [17.0, 30.0, 120.0], scale: 1e12 },
-    TableIiRow { label: "SGEMM", aurora: [21.0, 42.0, 242.0], dawn: [25.0, 48.0, 188.0], scale: 1e12 },
-    TableIiRow { label: "HGEMM", aurora: [207.0, 411.0, 2300.0], dawn: [246.0, 509.0, 1900.0], scale: 1e12 },
-    TableIiRow { label: "BF16GEMM", aurora: [216.0, 434.0, 2400.0], dawn: [254.0, 501.0, 2000.0], scale: 1e12 },
-    TableIiRow { label: "TF32GEMM", aurora: [107.0, 208.0, 1200.0], dawn: [118.0, 200.0, 850.0], scale: 1e12 },
-    TableIiRow { label: "I8GEMM", aurora: [448.0, 864.0, 5000.0], dawn: [525.0, 1100.0, 4100.0], scale: 1e12 },
-    TableIiRow { label: "Single-precision FFT C2C 1D", aurora: [3.1, 5.9, 33.0], dawn: [3.6, 6.6, 26.0], scale: 1e12 },
-    TableIiRow { label: "Single-precision FFT C2C 2D", aurora: [3.4, 6.0, 34.0], dawn: [3.6, 6.5, 25.0], scale: 1e12 },
+    TableIiRow { label: "Double Precision Peak Flops", aurora: [17.0, 33.0, 195.0], dawn: [20.0, 37.0, 140.0], scale: 1e12, unit: "TFlop/s" },
+    TableIiRow { label: "Single Precision Peak Flops", aurora: [23.0, 45.0, 268.0], dawn: [26.0, 52.0, 207.0], scale: 1e12, unit: "TFlop/s" },
+    TableIiRow { label: "Memory Bandwidth (triad)", aurora: [1.0, 2.0, 12.0], dawn: [1.0, 2.0, 8.0], scale: 1e12, unit: "TB/s" },
+    TableIiRow { label: "PCIe Unidirectional Bandwidth (H2D)", aurora: [54.0, 55.0, 329.0], dawn: [53.0, 54.0, 218.0], scale: 1e9, unit: "GB/s" },
+    TableIiRow { label: "PCIe Unidirectional Bandwidth (D2H)", aurora: [53.0, 56.0, 264.0], dawn: [51.0, 53.0, 212.0], scale: 1e9, unit: "GB/s" },
+    TableIiRow { label: "PCIe Bidirectional Bandwidth", aurora: [76.0, 77.0, 350.0], dawn: [72.0, 72.0, 285.0], scale: 1e9, unit: "GB/s" },
+    TableIiRow { label: "DGEMM", aurora: [13.0, 26.0, 151.0], dawn: [17.0, 30.0, 120.0], scale: 1e12, unit: "TFlop/s" },
+    TableIiRow { label: "SGEMM", aurora: [21.0, 42.0, 242.0], dawn: [25.0, 48.0, 188.0], scale: 1e12, unit: "TFlop/s" },
+    TableIiRow { label: "HGEMM", aurora: [207.0, 411.0, 2300.0], dawn: [246.0, 509.0, 1900.0], scale: 1e12, unit: "TFlop/s" },
+    TableIiRow { label: "BF16GEMM", aurora: [216.0, 434.0, 2400.0], dawn: [254.0, 501.0, 2000.0], scale: 1e12, unit: "TFlop/s" },
+    TableIiRow { label: "TF32GEMM", aurora: [107.0, 208.0, 1200.0], dawn: [118.0, 200.0, 850.0], scale: 1e12, unit: "TFlop/s" },
+    TableIiRow { label: "I8GEMM", aurora: [448.0, 864.0, 5000.0], dawn: [525.0, 1100.0, 4100.0], scale: 1e12, unit: "TIop/s" },
+    TableIiRow { label: "Single-precision FFT C2C 1D", aurora: [3.1, 5.9, 33.0], dawn: [3.6, 6.6, 26.0], scale: 1e12, unit: "TFlop/s" },
+    TableIiRow { label: "Single-precision FFT C2C 2D", aurora: [3.4, 6.0, 34.0], dawn: [3.6, 6.5, 25.0], scale: 1e12, unit: "TFlop/s" },
 ];
 
 /// A Table III row: label + Aurora (one pair, six pairs) + Dawn

@@ -11,7 +11,7 @@
 //! | `{"kind":"figure","id":1..4}` | figure text (Figure 1 as CSV) |
 //! | `{"kind":"ablation","name":"governor"\|"pcie"\|"congestion"\|"plane"\|"scaling"}` | ablation table text |
 //! | `{"kind":"experiments"}` | the paper-vs-model record, structured |
-//! | `{"kind":"conformance"}` | golden-expectation verdict line |
+//! | `{"kind":"conformance"}` | the conformance verdict line |
 //! | `{"kind":"devices"}` | clinfo-style model dump, structured |
 //! | `{"kind":"profile","workload":W,"system":S}` | profile top table + metrics summary |
 //! | `{"kind":"trace","workload":W,"system":S}` | `{"trace":…}`: the same profile run's Chrome trace |

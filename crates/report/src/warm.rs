@@ -9,9 +9,12 @@
 //! * [`build_fingerprint`] — a hash binding a store to the model that
 //!   filled it: the full `pvc-arch` model-constant dump, the scenario
 //!   grid (ids, units, citations, directions), and the store schema
-//!   version. Any change to model constants or the registry changes
-//!   the fingerprint, and [`pvc_store::Store::open`] then resets the
-//!   store automatically — stale results can never serve.
+//!   version. A change to model constants or the registry changes the
+//!   fingerprint, and [`pvc_store::Store::open`] then resets the store
+//!   automatically. A change to a renderer or to the published values
+//!   moves answers without touching either, so it bumps the schema;
+//!   the answer manifest test refuses a warm store file that moved
+//!   while the fingerprint did not.
 //! * [`warm_corpus`] — the full grid as request documents: every
 //!   row of [`crate::serve::ARTIFACTS`], every registered `run`
 //!   scenario, every canned sweep / profile, and the canned CI corpus
@@ -23,14 +26,16 @@ use crate::serve::ARTIFACTS;
 use pvc_arch::System;
 use pvc_serve::{fnv1a64, Request};
 
-/// Bump on any change to how responses are stored (value layout,
-/// envelope schema): old stores then invalidate even when the model
-/// constants are unchanged.
-const STORE_SCHEMA: &str = "pvc-store-catalog/v2";
+/// Bump on any deliberate change to the bytes of a stored answer (a
+/// renderer, the published values, the value layout or the envelope
+/// schema): old stores then invalidate even when the model constants
+/// and the grid are unchanged.
+const STORE_SCHEMA: &str = "pvc-store-catalog/v3";
 
 /// The build fingerprint: FNV-1a 64 over the model constants, the
 /// scenario grid and the store schema version. Deterministic across
-/// processes and machines; changes whenever the answers could.
+/// processes and machines; changes with the model constants, the grid
+/// and every [`STORE_SCHEMA`] bump.
 ///
 /// `PVC_STORE_FINGERPRINT_SALT`, when set, is hashed in as well — the
 /// hook CI and tests use to simulate a model change and prove the

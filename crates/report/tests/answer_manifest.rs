@@ -14,7 +14,11 @@
 //!   `/trace/<workload>/aurora` route under `application/x-chrome-trace`,
 //!   through [`httpfront::handle`];
 //! * `warm` — the whole store file a `reproduce warm --store` pass
-//!   writes.
+//!   writes;
+//! * `fingerprint` — [`build_fingerprint`] as 16 hex digits. A store
+//!   file that moved while the fingerprint did not would let a store
+//!   warmed before the change open `Loaded` and serve the old bytes, so
+//!   the warm test refuses it and names `STORE_SCHEMA`.
 //!
 //! Each test recomputes its surface in process and fails naming every
 //! entry that moved, was added or went missing, followed by the
@@ -220,5 +224,20 @@ fn the_warm_store_file_matches_the_manifest() {
         "application/octet-stream",
         &bytes,
     );
-    check(&["warm"], &[line]);
+    let fingerprint = format!("{:016x}", build_fingerprint());
+    let fingerprint = entry(
+        "fingerprint",
+        "build_fingerprint()",
+        "ok",
+        "text/plain",
+        fingerprint.as_bytes(),
+    );
+    let pinned = |l: &str| MANIFEST.lines().any(|p| p == l);
+    assert!(
+        pinned(&line) || !pinned(&fingerprint),
+        "the warm store file moved but build_fingerprint() did not, so a store \
+         warmed before this change would still open Loaded and serve the old \
+         answers: bump STORE_SCHEMA in crates/report/src/warm.rs"
+    );
+    check(&["warm", "fingerprint"], &[line, fingerprint]);
 }

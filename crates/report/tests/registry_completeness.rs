@@ -1,8 +1,8 @@
 //! Registry completeness: the one dispatch layer really covers every
-//! catalog the repo keeps — Table I rows, the 10-workload profile
-//! catalog, and the pvc-validate expectation pins all resolve to
-//! registered scenarios, and no registered workload family is orphaned
-//! from the paper's catalogs in the reverse direction.
+//! catalog the repo keeps — Table I rows and the 10-workload profile
+//! catalog resolve to registered scenarios, and no registered workload
+//! family is orphaned from the paper's catalogs in the reverse
+//! direction.
 
 use pvc_arch::System;
 use pvc_report::scenarios::registry;
@@ -54,19 +54,6 @@ fn every_profile_name_resolves() {
 }
 
 #[test]
-fn every_expectation_pin_resolves_in_the_report_registry() {
-    // Unlike the standard grid, the report registry also holds the
-    // figure pipeline, so here NO pin is exempt.
-    for e in pvc_validate::catalog() {
-        let Some(id) = e.scenario else { continue };
-        let resolved = registry()
-            .get(&id.slug(), id.system)
-            .unwrap_or_else(|err| panic!("expectation '{}': {err}", e.id));
-        assert_eq!(resolved.id(), id, "expectation '{}' binding drifted", e.id);
-    }
-}
-
-#[test]
 fn no_registered_family_is_orphaned() {
     // Reverse direction: every registered family is accounted for by a
     // paper catalog — Table I (microbenchmarks), Table V/VI (apps), the
@@ -98,19 +85,6 @@ fn no_registered_family_is_orphaned() {
     let families = registered_families();
     for w in Workload::ALL {
         assert!(families.contains(w.family()), "workload {w:?} never registered");
-    }
-}
-
-#[test]
-fn uncovered_scenario_keys_parse_back_into_the_grid() {
-    let uncovered = pvc_validate::uncovered_scenarios();
-    assert!(!uncovered.is_empty());
-    for key in &uncovered {
-        let (slug, sys) = key.split_once('@').expect("key is slug@system");
-        let system: System = sys.parse().unwrap_or_else(|e| panic!("{key}: {e}"));
-        registry()
-            .get(slug, system)
-            .unwrap_or_else(|e| panic!("uncovered key '{key}' does not resolve: {e}"));
     }
 }
 

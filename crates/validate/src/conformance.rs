@@ -1,20 +1,21 @@
-//! The conformance runner: evaluates every golden [`Expectation`]
-//! against the simulation crates and groups the outcomes per paper
-//! element, so a report reads like the paper's own table of contents
-//! ("Table II: 18/18", "Figure 2: 1/1", …).
+//! The conformance runner: takes the table-cell checks its caller
+//! pairs, evaluates the non-table facts against the simulation crates,
+//! and groups the outcomes per paper element, so a report reads like
+//! the paper's own table of contents ("Table II: 84/84", "Figure 2:
+//! 1/1", …).
 
-use crate::expectations::{catalog, Expectation};
+use crate::expectations::{facts, Expectation};
 use pvc_core::json::{Json, ToJson};
 
-/// One evaluated expectation.
+/// One evaluated check of a published value.
 #[derive(Debug, Clone)]
 pub struct Conformance {
-    /// Stable key from the catalog.
-    pub id: &'static str,
+    /// Stable machine-readable key.
+    pub id: String,
     /// Paper element ("Table II", …).
     pub element: &'static str,
     /// Citation of the published value.
-    pub source: &'static str,
+    pub source: String,
     /// The published value.
     pub published: f64,
     /// The recomputed value.
@@ -44,7 +45,7 @@ impl Conformance {
 pub struct ElementReport {
     /// The element ("Table II", "Figure 2", …).
     pub element: &'static str,
-    /// Evaluated expectations, catalog order.
+    /// Evaluated checks, in the order [`run`] received them.
     pub checks: Vec<Conformance>,
 }
 
@@ -61,7 +62,7 @@ impl ElementReport {
 }
 
 /// The full conformance report: one [`ElementReport`] per paper element,
-/// in catalog order.
+/// in the order the elements first appear.
 #[derive(Debug, Clone)]
 pub struct ConformanceReport {
     pub elements: Vec<ElementReport>,
@@ -144,9 +145,9 @@ fn fmt_value(v: f64) -> String {
 impl ToJson for Conformance {
     fn to_json(&self) -> Json {
         Json::obj(vec![
-            ("id", Json::str(self.id)),
+            ("id", Json::str(self.id.clone())),
             ("element", Json::str(self.element)),
-            ("source", Json::str(self.source)),
+            ("source", Json::str(self.source.clone())),
             ("published", self.published.to_json()),
             ("simulated", self.simulated.to_json()),
             ("rel_err", self.rel_err().to_json()),
@@ -190,21 +191,22 @@ impl ToJson for ConformanceReport {
 /// Evaluates one expectation.
 pub fn evaluate(e: &Expectation) -> Conformance {
     Conformance {
-        id: e.id,
+        id: e.id.to_string(),
         element: e.element,
-        source: e.source,
+        source: e.source.to_string(),
         published: e.value,
         simulated: (e.produce)(),
         rel_tol: e.rel_tol,
     }
 }
 
-/// Evaluates the whole catalog and groups it per element, preserving
-/// catalog order of both elements and checks.
-pub fn run() -> ConformanceReport {
+/// The report over `table_checks` followed by the evaluated [`facts`],
+/// grouped per element; the order of both elements and checks is the
+/// order they arrive in.
+pub fn run(table_checks: Vec<Conformance>) -> ConformanceReport {
     let mut elements: Vec<ElementReport> = Vec::new();
-    for exp in catalog() {
-        let c = evaluate(&exp);
+    let fact_checks: Vec<Conformance> = facts().iter().map(evaluate).collect();
+    for c in table_checks.into_iter().chain(fact_checks) {
         match elements.iter_mut().find(|e| e.element == c.element) {
             Some(e) => e.checks.push(c),
             None => elements.push(ElementReport {
@@ -223,9 +225,9 @@ mod tests {
     #[test]
     fn pass_logic_uses_the_band() {
         let mut c = Conformance {
-            id: "x",
+            id: "x".to_string(),
             element: "Table II",
-            source: "row 1",
+            source: "row 1".to_string(),
             published: 100.0,
             simulated: 104.0,
             rel_tol: 0.05,
@@ -239,12 +241,22 @@ mod tests {
 
     #[test]
     fn grouping_preserves_catalog_order() {
-        let r = run();
+        let cell = |element: &'static str| Conformance {
+            id: format!("{element} cell"),
+            element,
+            source: String::new(),
+            published: 1.0,
+            simulated: 1.0,
+            rel_tol: 0.05,
+        };
+        let tables = ["Table II", "Table III", "Table II", "Table VI"].map(cell);
+        let r = run(tables.to_vec());
         let names: Vec<&str> = r.elements.iter().map(|e| e.element).collect();
         assert_eq!(
             names,
             ["Table II", "Table III", "Table VI", "Section II", "Section III", "Figure 2"]
         );
-        assert_eq!(r.total(), crate::expectations::catalog().len());
+        assert_eq!(r.elements[0].checks.len(), 2);
+        assert_eq!(r.total(), tables.len() + facts().len());
     }
 }

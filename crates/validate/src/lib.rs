@@ -3,30 +3,26 @@
 //! The repo's answer to "does the simulation still reproduce the
 //! paper?", in three layers:
 //!
-//! * [`expectations`] — the golden catalog: every published value we
-//!   pin, as a typed [`expectations::Expectation`] with the printed
-//!   number, a tolerance band, and a citation
-//!   (`"Table II row 3, Aurora 6 PVC"`). Grid expectations bind to a
-//!   `pvc_scenario::ScenarioId` and recompute through the scenario
-//!   registry, so [`expectations::uncovered_scenarios`] can flag
-//!   registered pairs with no published pin.
-//! * [`conformance`] — the runner: recomputes each expectation from
-//!   `pvc-microbench` / `pvc-miniapps` / `pvc-predict` and groups
-//!   pass/fail per paper element. [`conformance::run`] returns the
-//!   report; `markdown()` / `json()` render it (the markdown feeds
-//!   `pvc-report`).
+//! * [`expectations`] — the four published values that are not table
+//!   cells (§II partition counts, the §III power cap, the §V-A
+//!   Figure 2 ratio), each a typed [`expectations::Expectation`] with
+//!   the printed number, a tolerance band and a citation.
+//! * [`conformance`] — the runner: [`conformance::run`] takes one check
+//!   per printed cell of Tables II, III and VI from its caller
+//!   (`pvc-report` pairs the printed tables with the simulated ones),
+//!   appends the evaluated facts and groups pass/fail per paper
+//!   element; `markdown()` / `json()` render the report.
 //! * [`metamorphic`] — cross-layer relations that must hold for *any*
 //!   parameter values: flow conservation in the fluid network,
 //!   bandwidth monotonicity across scaling levels, roofline bounds on
 //!   every library benchmark, and governor/TDP power caps.
 //!
 //! Everything here is hermetic and deterministic: no registry crates,
-//! no wall clock, no ambient randomness — two invocations produce
-//! byte-identical reports (pinned by a test in `tests/golden.rs`).
+//! no wall clock, no ambient randomness.
 
 pub mod conformance;
 pub mod expectations;
 pub mod metamorphic;
 
 pub use conformance::{run, Conformance, ConformanceReport, ElementReport};
-pub use expectations::{catalog, uncovered_scenarios, Expectation};
+pub use expectations::{facts, Expectation};
