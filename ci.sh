@@ -117,6 +117,8 @@ run grep -q '"name": "serve/warm_from_disk"' "$serve_dir/BENCH_serve.json"
 run grep -q '"name": "serve/experiments_from_disk"' "$serve_dir/BENCH_serve.json"
 run grep -q '"name": "serve/profile_cloverleaf_cold"' "$serve_dir/BENCH_serve.json"
 run grep -q '"name": "serve/allocate_1k_flows"' "$serve_dir/BENCH_serve.json"
+run grep -q '"name": "serve/registry_build"' "$serve_dir/BENCH_serve.json"
+run grep -q '"name": "serve/warm_corpus"' "$serve_dir/BENCH_serve.json"
 
 # 10. Chaos lab: the property suite proves fault overlays never improve
 #     a figure of merit (direction-aware, composition included), and the

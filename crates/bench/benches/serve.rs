@@ -1,6 +1,7 @@
 //! Benchmarks of the `pvc-serve` query service: store hits vs cache
 //! misses, hits from a store file, one cold profile atom, single-flight
-//! batching, and the sweep coalescing factor. Hits are timed through
+//! batching, the sweep coalescing factor, and the start-up work a fresh
+//! process does before it opens its store. Hits are timed through
 //! `Service::handle_line`, the path the stdin and `POST /query`
 //! frontends take.
 //!
@@ -153,6 +154,29 @@ fn flow_allocate_1k(c: &mut Criterion) {
     g.finish();
 }
 
+/// Start-up: a fresh scenario registry per iteration (the standard grid
+/// plus the figure pipeline), as every fresh `reproduce` process builds
+/// before it can fingerprint and open its store.
+fn serve_registry_build(c: &mut Criterion) {
+    let mut g = c.benchmark_group("serve");
+    g.sample_size(50);
+    g.bench_function("registry_build", |b| {
+        b.iter(|| black_box(pvc_report::scenarios::build_registry()))
+    });
+    g.finish();
+}
+
+/// Start-up: the warm corpus enumerated and deduplicated by content
+/// address, what `reproduce warm` does before its `store …` line.
+fn serve_warm_corpus(c: &mut Criterion) {
+    let mut g = c.benchmark_group("serve");
+    g.sample_size(50);
+    g.bench_function("warm_corpus", |b| {
+        b.iter(|| black_box(pvc_report::warm::warm_corpus()))
+    });
+    g.finish();
+}
+
 /// Overlapping PCIe sweeps: reports the measured coalescing factor
 /// (atoms requested / atoms executed) alongside the timing.
 fn serve_sweep_coalescing(c: &mut Criterion) {
@@ -185,5 +209,7 @@ criterion_group!(
     flow_allocate_1k,
     serve_singleflight,
     serve_sweep_coalescing,
+    serve_registry_build,
+    serve_warm_corpus,
 );
 criterion_main!(serve_benches);

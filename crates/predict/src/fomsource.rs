@@ -46,22 +46,41 @@ impl AppKind {
     }
 }
 
-/// Simulated FOM for one Table VI cell; `None` where the model (like the
-/// paper) has no value.
+/// Whether a Table VI cell has a value: a declared fact of the paper,
+/// never computed from a model. Every dash has its reason:
+///
+/// * miniBUDE is not an MPI application (§V-B1), so it has no
+///   full-node value.
+/// * mini-GAMESS failed to build with the AMD Fortran compiler (§V-B3),
+///   so it has no MI250 value at any level.
+/// * OpenMC and HACC are run only on the full node (§VI-B), so they
+///   have no one-stack or one-GPU value.
+///
+/// Every other cell has a value. [`fom`] returns `None` exactly where
+/// this is false, and the scenario registry reads it to choose each
+/// app's headline level without evaluating any model.
+pub fn has_fom(app: AppKind, system: System, level: ScaleLevel) -> bool {
+    match app {
+        AppKind::MiniBude => level != ScaleLevel::FullNode,
+        AppKind::MiniGamess => system != System::JlseMi250,
+        AppKind::OpenMc | AppKind::Hacc => level == ScaleLevel::FullNode,
+        AppKind::CloverLeaf | AppKind::MiniQmc => true,
+    }
+}
+
+/// Simulated FOM for one Table VI cell; `None` where [`has_fom`]
+/// declares a dash.
 pub fn fom(app: AppKind, system: System, level: ScaleLevel) -> Option<f64> {
+    if !has_fom(app, system, level) {
+        return None;
+    }
     match app {
         AppKind::MiniBude => minibude::fom(system, level),
         AppKind::CloverLeaf => cloverleaf::fom(system, level),
         AppKind::MiniQmc => miniqmc::fom(system, level),
         AppKind::MiniGamess => minigamess::fom(system, level),
-        AppKind::OpenMc => match level {
-            ScaleLevel::FullNode => Some(pvc_apps::openmc::fom_node(system)),
-            _ => None,
-        },
-        AppKind::Hacc => match level {
-            ScaleLevel::FullNode => Some(pvc_apps::hacc::fom_node(system)),
-            _ => None,
-        },
+        AppKind::OpenMc => Some(pvc_apps::openmc::fom_node(system)),
+        AppKind::Hacc => Some(pvc_apps::hacc::fom_node(system)),
     }
 }
 
@@ -87,6 +106,35 @@ mod tests {
             assert!(fom(app, System::Aurora, ScaleLevel::OneStack).is_none());
             assert!(fom(app, System::Aurora, ScaleLevel::FullNode).is_some());
         }
+    }
+
+    /// The declared availability agrees with the models on all 72
+    /// cells, and with each mini-app's own dashes.
+    #[test]
+    fn declared_availability_matches_every_model_cell() {
+        let mut cells = 0;
+        for app in AppKind::ALL {
+            for sys in System::ALL {
+                for level in ScaleLevel::ALL {
+                    let declared = has_fom(app, sys, level);
+                    assert_eq!(
+                        declared,
+                        fom(app, sys, level).is_some(),
+                        "{app:?} {sys:?} {level:?}"
+                    );
+                    cells += 1;
+                    let own = match app {
+                        AppKind::MiniBude => minibude::fom(sys, level),
+                        AppKind::CloverLeaf => cloverleaf::fom(sys, level),
+                        AppKind::MiniQmc => miniqmc::fom(sys, level),
+                        AppKind::MiniGamess => minigamess::fom(sys, level),
+                        AppKind::OpenMc | AppKind::Hacc => continue,
+                    };
+                    assert_eq!(declared, own.is_some(), "{app:?} {sys:?} {level:?}");
+                }
+            }
+        }
+        assert_eq!(cells, 72);
     }
 
     #[test]

@@ -468,7 +468,7 @@ fn describe_open(report: &pvc_store::OpenReport) -> String {
 fn run_warm(args: &[String]) -> i32 {
     let flags = serve_flags(args, WARM_USAGE);
     let store_path = flags.store.as_deref().unwrap_or("pvc-store.bin");
-    let corpus = pvc_report::warm::warm_corpus();
+    let corpus = pvc_report::warm::warm_requests();
     // The whole corpus is one admitted batch: raise the queue so
     // nothing sheds, leave other knobs at defaults.
     let mut cfg = ServeConfig::default();
@@ -488,8 +488,8 @@ fn run_warm(args: &[String]) -> i32 {
         return 1;
     }
     service.attach_store(store, &report);
-    let batch: Vec<_> = corpus.iter().map(|t| Request::parse(t)).collect();
-    let answers = service.answer_batch(batch);
+    let total = corpus.len();
+    let answers = service.answer_batch(corpus.into_iter().map(Ok).collect());
     let failed = answers.iter().filter(|a| a.result().is_none()).count();
     let metrics = service.metrics();
     let hits = metrics.counter("serve.cache.hit");
@@ -497,7 +497,7 @@ fn run_warm(args: &[String]) -> i32 {
     let cold = metrics.counter("serve.cache.miss");
     println!(
         "warmed {} corpus requests: {hits} served from store, {writes} computed and written; store holds {} entries",
-        corpus.len(),
+        total,
         service.store_len()
     );
     if failed > 0 {
@@ -505,16 +505,16 @@ fn run_warm(args: &[String]) -> i32 {
         return 1;
     }
     if flags.verify {
-        if hits as usize != corpus.len() || cold != 0 {
+        if hits as usize != total || cold != 0 {
             eprintln!(
                 "verify failed: expected every request from disk (store hits {hits}/{}, cold computes {cold})",
-                corpus.len()
+                total
             );
             return 1;
         }
         println!(
             "verify ok: all {} requests served from the store, zero cold computes",
-            corpus.len()
+            total
         );
     }
     0

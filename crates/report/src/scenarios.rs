@@ -56,16 +56,22 @@ impl Scenario for FiguresScenario {
 
 /// The process-wide registry every report frontend dispatches through:
 /// tables, figures, profiles, the serve executor and the `reproduce`
-/// CLI all resolve (workload, system) here.
+/// CLI all resolve (workload, system) here. Built once, by
+/// [`build_registry`].
 pub fn registry() -> &'static Registry {
     static REG: OnceLock<Registry> = OnceLock::new();
-    REG.get_or_init(|| {
-        let mut r = Registry::standard();
-        for system in System::PVC {
-            r.register(Box::new(FiguresScenario { system }));
-        }
-        r
-    })
+    REG.get_or_init(build_registry)
+}
+
+/// A fresh report-layer grid: [`Registry::standard`] plus the figure
+/// pipeline on both PVC systems. Like the standard grid, building it
+/// runs no model.
+pub fn build_registry() -> Registry {
+    let mut r = Registry::standard();
+    for system in System::PVC {
+        r.register(Box::new(FiguresScenario { system }));
+    }
+    r
 }
 
 #[cfg(test)]

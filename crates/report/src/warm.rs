@@ -77,6 +77,18 @@ pub fn build_fingerprint() -> u64 {
 /// excluded by construction (it is live introspection, never
 /// cacheable).
 pub fn warm_corpus() -> Vec<String> {
+    corpus(|line, _| line)
+}
+
+/// The [`warm_corpus`] lines as parsed requests, in the same order:
+/// each line is parsed once, by the deduplication that admits it.
+pub fn warm_requests() -> Vec<Request> {
+    corpus(|_, req| req)
+}
+
+/// Every corpus line, kept as `keep` maps it and its parsed request,
+/// in pinned order.
+fn corpus<T>(keep: impl Fn(String, Request) -> T) -> Vec<T> {
     // Every paper artifact and singleton kind, in artifact-table order.
     let mut lines: Vec<String> = ARTIFACTS.iter().map(|a| a.request().compact()).collect();
     for sys in System::PVC {
@@ -105,23 +117,22 @@ pub fn warm_corpus() -> Vec<String> {
     }
     // The canned CI corpus is always warm (it includes one chaos run).
     lines.extend(crate::serve::CANNED_REQUESTS.iter().map(|r| r.to_string()));
-    dedupe_by_key(lines)
+    dedupe_by_key(lines, keep)
 }
 
 /// Keeps the first occurrence of each canonical content address, so a
 /// request spelled twice (e.g. a canned line duplicating a grid line)
 /// warms once. Order is preserved — the corpus, and therefore the
 /// store file a warm pass writes, is byte-deterministic.
-fn dedupe_by_key(lines: Vec<String>) -> Vec<String> {
+fn dedupe_by_key<T>(lines: Vec<String>, keep: impl Fn(String, Request) -> T) -> Vec<T> {
     let mut seen: Vec<u64> = Vec::new();
-    let mut out: Vec<String> = Vec::new();
+    let mut out: Vec<T> = Vec::new();
     for line in lines {
-        let key = Request::parse(&line)
-            .unwrap_or_else(|e| panic!("warm corpus line '{line}' must parse: {e}"))
-            .key();
-        if !seen.contains(&key) {
-            seen.push(key);
-            out.push(line);
+        let req = Request::parse(&line)
+            .unwrap_or_else(|e| panic!("warm corpus line '{line}' must parse: {e}"));
+        if !seen.contains(&req.key()) {
+            seen.push(req.key());
+            out.push(keep(line, req));
         }
     }
     out
@@ -143,6 +154,16 @@ mod tests {
         std::env::remove_var("PVC_STORE_FINGERPRINT_SALT");
         assert_ne!(a, salted, "salt must change the fingerprint");
         assert_eq!(build_fingerprint(), a, "removing the salt restores it");
+    }
+
+    #[test]
+    fn requests_are_the_parsed_corpus_lines() {
+        let lines = warm_corpus();
+        let requests = warm_requests();
+        assert_eq!(lines.len(), requests.len());
+        for (line, req) in lines.iter().zip(&requests) {
+            assert_eq!(Request::parse(line).unwrap().text(), req.text());
+        }
     }
 
     #[test]
@@ -184,12 +205,12 @@ mod tests {
         use pvc_serve::Executor;
         let exec = crate::serve::CatalogExecutor;
         let budget = pvc_serve::ServeConfig::default().default_budget;
-        for line in warm_corpus() {
-            let req = Request::parse(&line).unwrap();
+        for req in warm_requests() {
             let cost = exec.cost(&req);
             assert!(
                 cost <= budget,
-                "corpus line '{line}' costs {cost} > default budget {budget}"
+                "corpus request '{}' costs {cost} > default budget {budget}",
+                req.text()
             );
         }
     }

@@ -16,7 +16,7 @@ use pvc_microbench::{fftbench, gemmbench, latsbench, membw, peakflops};
 use pvc_miniapps::profile as miniprof;
 use pvc_miniapps::ScaleLevel;
 use pvc_obs::Tracer;
-use pvc_predict::fomsource::{fom, AppKind};
+use pvc_predict::fomsource::{fom, has_fom, AppKind};
 
 /// The payload a scenario run produces: headline figure of merit plus
 /// named detail values (scaling levels, plateaus, pair counts).
@@ -81,6 +81,10 @@ impl Registry {
     /// The standard grid: every workload × system pair the paper runs
     /// (Tables I–III, VI; Figures 1–4), minus report-layer extensions
     /// like the figure-render pipeline which register themselves on top.
+    ///
+    /// Building it runs no model: which app cells exist is read from
+    /// the declared Table VI availability ([`has_fom`]), never from a
+    /// computed value.
     pub fn standard() -> Self {
         let mut r = Registry::new();
         register_microbenchmarks(&mut r);
@@ -511,14 +515,17 @@ fn register_fabric(r: &mut Registry) {
     }
 }
 
-/// Headline scaling level for an app on a system: the widest level the
-/// model (like the paper) has a value for.
+/// Headline scaling level for an app on a system: the widest level
+/// Table VI has a value for.
 fn headline_level(app: AppKind, sys: System) -> Option<ScaleLevel> {
     [ScaleLevel::FullNode, ScaleLevel::OneGpu, ScaleLevel::OneStack]
         .into_iter()
-        .find(|&l| fom(app, sys, l).is_some())
+        .find(|&l| has_fom(app, sys, l))
 }
 
+/// Registers one cell per app and system that Table VI has any value
+/// for, at its headline level. Registration reads the declared
+/// availability ([`has_fom`]) and never computes a FOM.
 fn register_apps(r: &mut Registry) {
     for (workload, desc) in [
         (
@@ -544,7 +551,7 @@ fn register_apps(r: &mut Registry) {
             _ => None,
         };
         for sys in System::ALL {
-            // Register only cells the model has any value for —
+            // Register only cells Table VI has any value for —
             // mini-GAMESS never built on MI250 (§V-B3), so that cell is
             // absent from the grid just as it is dashed in Table VI.
             let Some(level) = headline_level(app, sys) else {

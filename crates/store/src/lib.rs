@@ -10,10 +10,11 @@
 //!   frame. A torn write (crash mid-append) corrupts only the tail;
 //!   [`Store::open`] detects the first bad frame, truncates the file
 //!   back to the valid prefix, and keeps serving everything before it.
-//! * **Streamed index.** Opening a store reads the segment once, front
-//!   to back, building an in-memory key → record index over a byte
-//!   arena. Lookups are O(1) hash probes plus a text compare; a hash
-//!   collision degrades to a miss, never a wrong answer.
+//! * **In-place index.** Opening a store reads the segment once and
+//!   indexes those bytes where they lie: one in-memory copy, with a
+//!   key → record index into it. Appends join the same copy. Lookups
+//!   are O(1) hash probes plus a text compare; a hash collision
+//!   degrades to a miss, never a wrong answer.
 //! * **One writer per file.** [`Store::open`] takes the file's exclusive
 //!   lock and holds it until the store drops; a second opener gets
 //!   [`OpenError::Locked`] instead of appending at a stale offset over

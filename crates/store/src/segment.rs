@@ -24,6 +24,9 @@ pub const HEADER_LEN: usize = 16;
 /// Fixed bytes of a record frame around the variable text/value.
 pub(crate) const FRAME_OVERHEAD: usize = 8 + 4 + 4 + 8;
 
+/// Offset of the text inside a frame: after the key and both lengths.
+pub(crate) const FRAME_TEXT_AT: usize = 8 + 4 + 4;
+
 /// Caps applied to length fields before allocating. Canonical requests
 /// are small; responses are rendered tables/figures/JSON, comfortably
 /// under these.
@@ -135,15 +138,16 @@ pub(crate) fn decode_frame(bytes: &[u8]) -> Result<Frame<'_>, FrameError> {
     if bytes.len() < total {
         return Err(FrameError::TruncatedPayload);
     }
-    let body = &bytes[..16 + payload];
-    u64buf.copy_from_slice(&bytes[16 + payload..total]);
+    let body = &bytes[..FRAME_TEXT_AT + payload];
+    u64buf.copy_from_slice(&bytes[FRAME_TEXT_AT + payload..total]);
     let stored = u64::from_le_bytes(u64buf);
     if fnv1a64(body) != stored {
         return Err(FrameError::ChecksumMismatch);
     }
-    let text = std::str::from_utf8(&bytes[16..16 + text_len as usize])
-        .map_err(|_| FrameError::BadText)?;
-    let value = &bytes[16 + text_len as usize..16 + payload];
+    let text_end = FRAME_TEXT_AT + text_len as usize;
+    let text =
+        std::str::from_utf8(&bytes[FRAME_TEXT_AT..text_end]).map_err(|_| FrameError::BadText)?;
+    let value = &bytes[text_end..FRAME_TEXT_AT + payload];
     Ok(Frame { key, text, value, len: total })
 }
 

@@ -1,7 +1,7 @@
 //! The store: open/scan/truncate, indexed lookups, atomic appends.
 
 use crate::segment::{
-    decode_frame, decode_header, encode_frame, encode_header, FrameError, HEADER_LEN,
+    decode_frame, decode_header, encode_frame, encode_header, FrameError, FRAME_TEXT_AT, HEADER_LEN,
 };
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions, TryLockError};
@@ -78,33 +78,43 @@ impl From<std::io::Error> for OpenError {
     }
 }
 
-/// One indexed record: text and value live in the arena.
+/// One indexed record: its text and value, back to back inside its
+/// frame in the segment bytes.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     key: u64,
     text_off: usize,
     text_len: usize,
-    value_off: usize,
     value_len: usize,
+}
+
+impl Entry {
+    fn value_off(&self) -> usize {
+        self.text_off + self.text_len
+    }
 }
 
 /// A content-addressed result store, backed by one segment file or by
 /// memory alone ([`Store::in_memory`]).
 ///
-/// All reads are served from the in-memory index; a file-backed store
-/// builds it at open, and each write appends one checksummed frame
-/// before updating it. The store never overwrites: a key/text pair,
-/// once written, is immutable (a second [`Store::put`] with the same
-/// pair is a no-op, which is what makes double-run warm passes produce
-/// byte-identical files). A file-backed store holds the file's
-/// exclusive lock until it is dropped, so one file has one writer.
+/// All reads are served in place from one in-memory copy of the
+/// segment: a file-backed store reads the file once at open and indexes
+/// those bytes, and each write appends one checksummed frame to the
+/// file and to that copy before indexing it. The store never
+/// overwrites: a key/text pair, once written, is immutable (a second
+/// [`Store::put`] with the same pair is a no-op, which is what makes
+/// double-run warm passes produce byte-identical files). A file-backed
+/// store holds the file's exclusive lock until it is dropped, so one
+/// file has one writer.
 #[derive(Debug)]
 pub struct Store {
     /// The locked segment file; `None` for an in-memory store.
     file: Option<File>,
     fingerprint: u64,
-    /// Text and value payload bytes of every live record.
-    arena: Vec<u8>,
+    /// The segment bytes every record is read from: the whole file
+    /// (header and frames) for a file-backed store, the frames alone
+    /// for an in-memory one.
+    segment: Vec<u8>,
     entries: Vec<Entry>,
     /// key → indices into `entries` with that hash (collision chain).
     index: HashMap<u64, Vec<usize>>,
@@ -119,7 +129,7 @@ impl Store {
         Store {
             file: None,
             fingerprint: 0,
-            arena: Vec::new(),
+            segment: Vec::new(),
             entries: Vec::new(),
             index: HashMap::new(),
             value_bytes: 0,
@@ -171,8 +181,10 @@ impl Store {
 
         match decode_header(&bytes) {
             Some(found) if found == fingerprint => {
-                let (valid_len, tail_error) = store.load_records(&bytes);
-                let dropped = bytes.len() as u64 - valid_len as u64;
+                store.segment = bytes;
+                let (valid_len, tail_error) = store.load_records();
+                let dropped = store.segment.len() as u64 - valid_len as u64;
+                store.segment.truncate(valid_len);
                 let file = store.file.as_mut().expect("opened with a file");
                 if dropped > 0 {
                     file.set_len(valid_len as u64)?;
@@ -201,29 +213,32 @@ impl Store {
 
     /// Truncates the file and writes a fresh header.
     fn reset_file(&mut self) -> std::io::Result<()> {
+        let header = encode_header(self.fingerprint);
         let file = self.file.as_mut().expect("opened with a file");
         file.set_len(0)?;
         file.seek(SeekFrom::Start(0))?;
-        file.write_all(&encode_header(self.fingerprint))?;
+        file.write_all(&header)?;
         file.flush()?;
-        self.arena.clear();
+        self.segment.clear();
+        self.segment.extend_from_slice(&header);
         self.entries.clear();
         self.index.clear();
         self.value_bytes = 0;
         Ok(())
     }
 
-    /// Streams records out of `bytes`, stopping at the first bad frame.
-    /// Returns the byte length of the valid prefix and the error (if
-    /// any) that ended the scan.
-    fn load_records(&mut self, bytes: &[u8]) -> (usize, Option<FrameError>) {
+    /// Indexes the records of the segment in place, stopping at the
+    /// first bad frame. Returns the byte length of the valid prefix and
+    /// the error (if any) that ended the scan.
+    fn load_records(&mut self) -> (usize, Option<FrameError>) {
         let mut pos = HEADER_LEN;
         let mut tail_error = None;
-        while pos < bytes.len() {
-            match decode_frame(&bytes[pos..]) {
+        while pos < self.segment.len() {
+            match decode_frame(&self.segment[pos..]) {
                 Ok(frame) => {
-                    self.insert_entry(frame.key, frame.text, frame.value);
-                    pos += frame.len;
+                    let len = frame.len;
+                    self.index_frame(pos, frame.key, frame.text.len(), frame.value.len());
+                    pos += len;
                 }
                 Err(e) => {
                     tail_error = Some(e);
@@ -234,56 +249,56 @@ impl Store {
         (pos, tail_error)
     }
 
-    /// Indexes one record, copying its payloads into the arena. A
-    /// duplicate key/text pair (possible only from a file written by
-    /// something other than this store) keeps the first record — the
-    /// append-only contract says a pair, once written, never changes.
-    fn insert_entry(&mut self, key: u64, text: &str, value: &[u8]) {
+    /// Indexes the record whose frame starts at `frame_off` in the
+    /// segment. A duplicate key/text pair (possible only from a file
+    /// written by something other than this store) keeps the first
+    /// record — the append-only contract says a pair, once written,
+    /// never changes.
+    fn index_frame(&mut self, frame_off: usize, key: u64, text_len: usize, value_len: usize) {
+        let text_off = frame_off + FRAME_TEXT_AT;
+        let text = &self.segment[text_off..text_off + text_len];
         if self.lookup(key, text).is_some() {
             return;
         }
-        let text_off = self.arena.len();
-        self.arena.extend_from_slice(text.as_bytes());
-        let value_off = self.arena.len();
-        self.arena.extend_from_slice(value);
         let entry = Entry {
             key,
             text_off,
-            text_len: text.len(),
-            value_off,
-            value_len: value.len(),
+            text_len,
+            value_len,
         };
         self.index.entry(key).or_default().push(self.entries.len());
         self.entries.push(entry);
-        self.value_bytes += value.len() as u64;
+        self.value_bytes += value_len as u64;
     }
 
-    fn lookup(&self, key: u64, text: &str) -> Option<&Entry> {
-        self.index.get(&key)?.iter().map(|&i| &self.entries[i]).find(|e| {
-            e.key == key
-                && &self.arena[e.text_off..e.text_off + e.text_len] == text.as_bytes()
-        })
+    fn lookup(&self, key: u64, text: &[u8]) -> Option<&Entry> {
+        self.index
+            .get(&key)?
+            .iter()
+            .map(|&i| &self.entries[i])
+            .find(|e| e.key == key && &self.segment[e.text_off..e.value_off()] == text)
     }
 
     /// Looks up the stored value for `(key, text)`. The text compare
     /// guards against hash collisions — a collision is a miss, never a
     /// wrong value.
     pub fn get(&self, key: u64, text: &str) -> Option<&[u8]> {
-        self.lookup(key, text)
-            .map(|e| &self.arena[e.value_off..e.value_off + e.value_len])
+        self.lookup(key, text.as_bytes())
+            .map(|e| &self.segment[e.value_off()..e.value_off() + e.value_len])
     }
 
     /// True when `(key, text)` is stored.
     pub fn contains(&self, key: u64, text: &str) -> bool {
-        self.lookup(key, text).is_some()
+        self.lookup(key, text.as_bytes()).is_some()
     }
 
     /// Stores `(key, text) → value` if absent: a file-backed store
-    /// first appends one frame to the segment (a single write syscall,
-    /// so a crash tears at most the tail), then indexes it. Returns
-    /// `true` when a record was written, `false` when the pair was
-    /// already stored (the existing record is kept — values are
-    /// immutable once written).
+    /// first appends one frame to the segment file (a single write
+    /// syscall, so a crash tears at most the tail); the same frame then
+    /// joins the in-memory segment and is indexed. Returns `true` when
+    /// a record was written, `false` when the pair was already stored
+    /// (the existing record is kept — values are immutable once
+    /// written).
     ///
     /// A failed append (a transient ENOSPC, say) is undone before the
     /// error returns: the file is cut back to the offset the frame
@@ -295,15 +310,18 @@ impl Store {
         if self.contains(key, text) {
             return Ok(false);
         }
+        let frame = encode_frame(key, text, value);
         if let Some(file) = &mut self.file {
             let start = file.stream_position()?;
-            if let Err(e) = append(file, &encode_frame(key, text, value)) {
+            if let Err(e) = append(file, &frame) {
                 file.set_len(start)?;
                 file.seek(SeekFrom::Start(start))?;
                 return Err(e);
             }
         }
-        self.insert_entry(key, text, value);
+        let frame_off = self.segment.len();
+        self.segment.extend_from_slice(&frame);
+        self.index_frame(frame_off, key, text.len(), value.len());
         Ok(true)
     }
 
@@ -431,6 +449,11 @@ mod tests {
         assert!(r.invalidated());
         assert_eq!(r.records, 0);
         assert!(s.is_empty(), "stale results must never serve");
+        assert_eq!(
+            s.segment,
+            std::fs::read(&path).unwrap(),
+            "a reset keeps the header"
+        );
         drop(s);
         // The reset persisted: reopening with the new fingerprint loads
         // an empty store, reopening with the old one invalidates again.
@@ -465,6 +488,11 @@ mod tests {
         assert_eq!(s.get(1, "req-one"), Some(&b"value-one"[..]));
         assert_eq!(s.get(2, "req-two"), Some(&b"value-two"[..]));
         assert_eq!(s.get(3, "req-three"), None, "torn record is gone");
+        assert_eq!(
+            s.segment,
+            std::fs::read(&path).unwrap(),
+            "one copy: the file's bytes"
+        );
         // The truncation persisted: the next open is clean.
         drop(s);
         let (_, r) = Store::open(&path, FP).unwrap();
@@ -489,6 +517,11 @@ mod tests {
         // Re-append the lost record plus a new one; everything reloads.
         assert!(s.put(3, "req-three", b"value-three").unwrap());
         assert!(s.put(4, "req-four", b"value-four").unwrap());
+        assert_eq!(
+            s.segment,
+            std::fs::read(&path).unwrap(),
+            "appends join the one copy"
+        );
         drop(s);
         let (s, r) = Store::open(&path, FP).unwrap();
         assert_eq!(r.records, 4);
